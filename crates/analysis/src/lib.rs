@@ -4,6 +4,8 @@
 //! Graph Coloring* (PLDI 2002) relies on:
 //!
 //! * [`Cfg`] — predecessor/successor maps and reverse postorder;
+//! * [`RunMap`] — linear runs (single-exit into single-entry chains), which
+//!   spill code uses to forward reloaded values across block boundaries;
 //! * [`Dominators`] — immediate-dominator tree (Cooper–Harvey–Kennedy);
 //! * [`Loops`] — natural loops, per-block loop depth, and the paper's
 //!   execution-frequency estimate `Freq_Fact = 10^depth`;
@@ -11,9 +13,6 @@
 //!   queries, plus live-across-call information for volatile/non-volatile
 //!   preferences;
 //! * [`DefUse`] — definition and use sites per virtual register;
-//! * [`Spl`] — series-parallel-loop decomposition with region-composed
-//!   liveness/frequency fast paths (bit-identical to the iterative
-//!   solvers, with a clean fallback on irreducible or non-SPL shapes);
 //! * [`BitSet`] — the dense bit set used throughout.
 
 #![forbid(unsafe_code)]
@@ -25,12 +24,10 @@ mod defuse;
 mod dom;
 mod liveness;
 mod loops;
-mod spl;
 
 pub use bitset::BitSet;
-pub use cfg::Cfg;
+pub use cfg::{Cfg, RunMap};
 pub use defuse::{DefUse, InstRef};
 pub use dom::Dominators;
 pub use liveness::{CallCrossing, Liveness, LivenessScratch};
 pub use loops::{Loops, DEFAULT_LOOP_FREQ_FACTOR};
-pub use spl::{Spl, SplKind, SplScratch};

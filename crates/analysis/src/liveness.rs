@@ -1,7 +1,7 @@
 //! Iterative backward liveness analysis.
 
-use crate::{BitSet, Cfg, Loops, SplScratch};
-use pdgc_arena::NestedPool;
+use crate::{BitSet, Cfg, Loops};
+use pdgc_arena::{NestedPool, VecPool};
 use pdgc_ir::{Block, Function, Inst, VReg};
 
 /// Resettable scratch for [`Liveness::compute_in`] and
@@ -12,7 +12,7 @@ use pdgc_ir::{Block, Function, Inst, VReg};
 /// for a stream of functions performs no steady-state heap allocation once
 /// the scratch has grown to the largest function seen. Recycle a finished
 /// [`Liveness`] with [`Liveness::recycle`] to keep its sets in the pool.
-/// Also carries the [`SplScratch`] pools for the SPL region fast path, so
+/// Also carries the pools for [`crate::DefUse`] and [`crate::RunMap`], so
 /// one scratch covers the whole analysis phase.
 #[derive(Debug, Default)]
 pub struct LivenessScratch {
@@ -25,8 +25,8 @@ pub struct LivenessScratch {
     crossings: NestedPool<(Block, usize)>,
     /// Pool for [`crate::DefUse`]'s per-register site lists.
     pub(crate) sites: NestedPool<crate::InstRef>,
-    /// Pools for [`crate::Spl`] detection and composition.
-    pub spl: SplScratch,
+    /// Pool for [`crate::RunMap`]'s per-block run predecessors.
+    pub(crate) runs: VecPool<Option<Block>>,
 }
 
 impl LivenessScratch {
@@ -37,9 +37,9 @@ impl LivenessScratch {
 
     /// Takes a pooled set vector with at least `nb` sets of capacity `nv`,
     /// all cleared. Extra sets beyond `nb` are kept (cleared, allocations
-    /// intact) rather than dropped: the pool serves both block-sized and
-    /// SPL region-sized requests, and truncating on every size change
-    /// would re-allocate the difference each round.
+    /// intact) rather than dropped: block counts change between functions
+    /// and spill rounds, and truncating on every size change would
+    /// re-allocate the difference each time.
     pub(crate) fn take_sets(&mut self, nb: usize, nv: usize) -> Vec<BitSet> {
         let mut v = self.sets.pop().unwrap_or_default();
         for s in &mut v {
@@ -133,21 +133,6 @@ impl Liveness {
             live_in,
             live_out,
             num_vregs: nv,
-        }
-    }
-
-    /// Builds a `Liveness` from already-computed per-block sets. Used by
-    /// the SPL composition fast path, which produces bit-identical sets
-    /// without running the iterative fixpoint.
-    pub(crate) fn from_parts(
-        live_in: Vec<BitSet>,
-        live_out: Vec<BitSet>,
-        num_vregs: usize,
-    ) -> Self {
-        Liveness {
-            live_in,
-            live_out,
-            num_vregs,
         }
     }
 
@@ -254,13 +239,12 @@ impl Liveness {
 
 /// Fills per-block transfer-function sets: `gen[b]` holds the registers
 /// used in `b` before any def (upward-exposed uses), `kill[b]` the
-/// registers defined in `b`. Shared by the iterative solver and the SPL
-/// composition path so both start from identical leaves.
+/// registers defined in `b`.
 ///
 /// # Panics
 ///
 /// Panics if the function still contains φ-functions.
-pub(crate) fn fill_gen_kill(func: &Function, gen: &mut [BitSet], kill: &mut [BitSet]) {
+fn fill_gen_kill(func: &Function, gen: &mut [BitSet], kill: &mut [BitSet]) {
     for b in func.block_ids() {
         assert!(
             func.block(b).phis.is_empty(),

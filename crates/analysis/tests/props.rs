@@ -1,7 +1,7 @@
 //! Property tests for the analyses, validated against brute-force
 //! definitions on random CFGs.
 
-use pdgc_analysis::{Cfg, Dominators, Liveness, LivenessScratch, Loops, Spl};
+use pdgc_analysis::{Cfg, Dominators, Liveness, Loops};
 use pdgc_ir::{Block, CmpOp, Function, FunctionBuilder, RegClass};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,39 +123,6 @@ proptest! {
                     loops.headers().iter().any(|&h| dom.dominates(h, b)),
                     "{} has loop depth but no dominating header (seed {})", b, seed
                 );
-            }
-        }
-    }
-
-    /// On whatever random CFGs happen to be SPL-shaped, the region-composed
-    /// liveness and loop structure are bit-identical to the iterative
-    /// solvers; on the rest the fast paths decline cleanly.
-    #[test]
-    fn spl_fast_paths_match_iterative_on_random_cfgs(n in 1usize..14, seed in any::<u64>()) {
-        let f = random_cfg(n, seed);
-        let cfg = Cfg::compute(&f);
-        let spl = Spl::compute(&cfg);
-        match spl.liveness_in(&f, &cfg, &mut LivenessScratch::new()) {
-            Some(fast) => {
-                let slow = Liveness::compute(&f, &cfg);
-                for b in f.block_ids() {
-                    prop_assert_eq!(fast.live_in(b), slow.live_in(b),
-                        "live_in({}) diverges (seed {})", b, seed);
-                    prop_assert_eq!(fast.live_out(b), slow.live_out(b),
-                        "live_out({}) diverges (seed {})", b, seed);
-                }
-            }
-            None => prop_assert!(!spl.is_spl()),
-        }
-        if let Some(fast) = spl.loops() {
-            let dom = Dominators::compute(&cfg);
-            let slow = Loops::compute(&cfg, &dom);
-            prop_assert_eq!(fast.headers(), slow.headers(), "headers diverge (seed {})", seed);
-            for b in f.block_ids() {
-                prop_assert_eq!(fast.depth(b), slow.depth(b),
-                    "depth({}) diverges (seed {})", b, seed);
-                prop_assert_eq!(fast.freq(b), slow.freq(b),
-                    "freq({}) diverges (seed {})", b, seed);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Bump arena and resettable scratch pools.
+//! Resettable scratch pools.
 //!
 //! The batch driver runs one allocation pipeline per worker thread. Without
 //! buffer reuse every phase re-allocates its working set per function, and
@@ -6,10 +6,6 @@
 //! `--jobs 2` ran *slower* than serial. The types here let each worker own
 //! its scratch once and reset it between functions:
 //!
-//! * [`Bump`] — an index-range bump arena over a single backing `Vec`. One
-//!   allocation serves many logical arrays (e.g. every row of an
-//!   interference bit-matrix); `reset` reclaims everything while keeping
-//!   the capacity.
 //! * [`VecPool`] — a recycling pool of `Vec<T>` buffers. `take` hands out a
 //!   cleared buffer (retaining its previous capacity), `put` returns it.
 //! * [`NestedPool`] — the same idea for jagged `Vec<Vec<T>>` structures,
@@ -18,129 +14,13 @@
 //!   the taken value is restored into its slot even on early return, `?`,
 //!   or unwind, so reuse never silently degrades to per-call allocation.
 //!
-//! Everything here is safe Rust: the arena hands out index ranges, not
-//! pointers, so the usual lifetime puzzles of bump allocators do not arise.
+//! Everything here is safe Rust.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::mem;
 use std::ops::{Deref, DerefMut};
-
-/// A contiguous range handle into a [`Bump`] arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BumpRange {
-    start: usize,
-    len: usize,
-}
-
-impl BumpRange {
-    /// Number of elements in the range.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// An index-range bump arena over a single backing vector.
-///
-/// `alloc_zeroed` extends the high-water mark and returns a [`BumpRange`];
-/// the elements are guaranteed to be `T::default()`. `reset` rewinds the
-/// mark to zero without releasing the backing storage, so steady-state use
-/// performs no heap allocation once the arena has grown to the largest
-/// working set it has seen.
-#[derive(Debug, Clone)]
-pub struct Bump<T> {
-    storage: Vec<T>,
-    mark: usize,
-}
-
-impl<T> Default for Bump<T> {
-    fn default() -> Self {
-        Bump {
-            storage: Vec::new(),
-            mark: 0,
-        }
-    }
-}
-
-impl<T: Clone + Default> Bump<T> {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Bump {
-            storage: Vec::new(),
-            mark: 0,
-        }
-    }
-
-    /// Allocates `len` default-valued elements and returns their range.
-    pub fn alloc_zeroed(&mut self, len: usize) -> BumpRange {
-        let start = self.mark;
-        let end = start + len;
-        if self.storage.len() < end {
-            self.storage.resize(end, T::default());
-        } else {
-            // Recycled region: scrub leftovers from the previous generation.
-            self.storage[start..end].fill(T::default());
-        }
-        self.mark = end;
-        BumpRange { start, len }
-    }
-
-    /// The elements of a previously allocated range.
-    pub fn get(&self, r: BumpRange) -> &[T] {
-        &self.storage[r.start..r.start + r.len]
-    }
-
-    /// Mutable access to a previously allocated range.
-    pub fn get_mut(&mut self, r: BumpRange) -> &mut [T] {
-        &mut self.storage[r.start..r.start + r.len]
-    }
-
-    /// Rewinds the arena, keeping the backing capacity.
-    pub fn reset(&mut self) {
-        self.mark = 0;
-    }
-
-    /// Elements currently allocated.
-    pub fn len(&self) -> usize {
-        self.mark
-    }
-
-    /// Whether nothing is currently allocated.
-    pub fn is_empty(&self) -> bool {
-        self.mark == 0
-    }
-
-    /// Capacity of the backing storage (diagnostic).
-    pub fn capacity(&self) -> usize {
-        self.storage.capacity()
-    }
-
-    /// Moves the backing storage out as a plain `Vec` sized to the current
-    /// mark, leaving the arena empty. Pair with [`Bump::adopt`] to lend the
-    /// arena's storage to a structure that needs owned data.
-    pub fn take_storage(&mut self) -> Vec<T> {
-        let mut v = mem::take(&mut self.storage);
-        v.truncate(self.mark);
-        self.mark = 0;
-        v
-    }
-
-    /// Re-adopts storage previously taken with [`Bump::take_storage`]
-    /// (or any compatible buffer), resetting the mark.
-    pub fn adopt(&mut self, v: Vec<T>) {
-        if v.capacity() > self.storage.capacity() {
-            self.storage = v;
-        }
-        self.storage.clear();
-        self.mark = 0;
-    }
-}
 
 /// A recycling pool of `Vec<T>` buffers.
 ///
@@ -300,38 +180,6 @@ impl<T: Default> Drop for Taken<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bump_alloc_and_reset_reuses_storage() {
-        let mut a: Bump<u64> = Bump::new();
-        let r1 = a.alloc_zeroed(4);
-        a.get_mut(r1)[2] = 7;
-        let r2 = a.alloc_zeroed(3);
-        assert_eq!(a.get(r1), &[0, 0, 7, 0]);
-        assert_eq!(a.get(r2), &[0, 0, 0]);
-        assert_eq!(a.len(), 7);
-
-        let cap = a.capacity();
-        a.reset();
-        assert!(a.is_empty());
-        let r3 = a.alloc_zeroed(5);
-        // Recycled region must be scrubbed and capacity retained.
-        assert_eq!(a.get(r3), &[0; 5]);
-        assert_eq!(a.capacity(), cap);
-    }
-
-    #[test]
-    fn bump_take_and_adopt_round_trip() {
-        let mut a: Bump<u32> = Bump::new();
-        let r = a.alloc_zeroed(3);
-        a.get_mut(r)[0] = 9;
-        let v = a.take_storage();
-        assert_eq!(v, vec![9, 0, 0]);
-        assert!(a.is_empty());
-        a.adopt(v);
-        let r2 = a.alloc_zeroed(2);
-        assert_eq!(a.get(r2), &[0, 0]);
-    }
 
     #[test]
     fn vec_pool_retains_capacity() {

@@ -24,7 +24,9 @@ use crate::scratch::{ClassScratch, PhaseScratch};
 use crate::select::SelectResult;
 use crate::spill::{insert_spill_code_fwd, SPL_FORWARD_MAX_ROUNDS};
 use crate::stats::AllocStats;
-use pdgc_analysis::{CallCrossing, Cfg, DefUse, Dominators, Liveness, LivenessScratch, Loops, Spl};
+use pdgc_analysis::{
+    CallCrossing, Cfg, DefUse, Dominators, Liveness, LivenessScratch, Loops, RunMap,
+};
 use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope, CheckScratch};
 use pdgc_ir::{Function, RegClass, VReg};
 use pdgc_obs::{with_span, Counter, Event, NoopTracer, Phase, Tracer, ValueHist};
@@ -48,12 +50,11 @@ pub struct Analyses {
     pub defuse: DefUse,
     /// Live-across-call records.
     pub crossings: CallCrossing,
-    /// SPL region decomposition of the CFG. When the function is
-    /// SPL-shaped it is what computed `liveness` (and, when
-    /// [`Spl::depth_fast_ok`], `loops`); it also drives run-based reload
-    /// forwarding in the spill phase. On irreducible or otherwise
-    /// non-SPL functions it records the fallback.
-    pub spl: Spl,
+    /// Linear runs of the CFG, which drive reload forwarding in the spill
+    /// phase. The field keeps the name it had when a series-parallel-loop
+    /// (SPL) decomposition supplied the runs, so existing callers that
+    /// pass `&analyses.spl` to [`insert_spill_code_fwd`] still compile.
+    pub spl: RunMap,
 }
 
 /// Runs all of a round's analyses.
@@ -61,27 +62,14 @@ pub fn analyze(func: &Function) -> Analyses {
     analyze_in(func, &mut LivenessScratch::default())
 }
 
-/// Like [`analyze`], drawing the liveness sets and crossing records from
-/// pooled scratch; return them with [`Analyses::recycle`] when done.
-///
-/// Liveness and loop frequency go through the SPL region fast paths when
-/// the CFG is SPL-shaped — bit-identical to the iterative solvers by the
-/// [`Spl`] contract — and fall back to [`Liveness::compute_in`] and the
-/// dominator-based [`Loops::compute`] otherwise.
+/// Like [`analyze`], drawing the liveness sets, crossing records, def/use
+/// sites and run map from pooled scratch; return them with
+/// [`Analyses::recycle`] when done.
 pub fn analyze_in(func: &Function, scratch: &mut LivenessScratch) -> Analyses {
     let cfg = Cfg::compute(func);
-    let spl = Spl::compute_in(&cfg, &mut scratch.spl);
-    let liveness = match spl.liveness_in(func, &cfg, scratch) {
-        Some(lv) => lv,
-        None => Liveness::compute_in(func, &cfg, scratch),
-    };
-    let loops = match spl.loops() {
-        Some(l) => l,
-        None => {
-            let dom = Dominators::compute(&cfg);
-            Loops::compute(&cfg, &dom)
-        }
-    };
+    let liveness = Liveness::compute_in(func, &cfg, scratch);
+    let loops = Loops::compute(&cfg, &Dominators::compute(&cfg));
+    let spl = RunMap::compute_in(&cfg, scratch);
     let defuse = DefUse::compute_in(func, scratch);
     let crossings = liveness.call_crossings_in(func, scratch);
     Analyses {
@@ -95,13 +83,13 @@ pub fn analyze_in(func: &Function, scratch: &mut LivenessScratch) -> Analyses {
 }
 
 impl Analyses {
-    /// Returns the pooled liveness, crossing, def/use, and SPL storage to
-    /// `scratch`.
+    /// Returns the pooled liveness, crossing, def/use, and run-map storage
+    /// to `scratch`.
     pub fn recycle(self, scratch: &mut LivenessScratch) {
         self.crossings.recycle(scratch);
         self.liveness.recycle(scratch);
         self.defuse.recycle(scratch);
-        self.spl.recycle(&mut scratch.spl);
+        self.spl.recycle(scratch);
     }
 }
 
@@ -422,20 +410,6 @@ pub fn run_pipeline_scratch(
         scratch
             .metrics
             .observe_latency(Phase::Analyze, t0.elapsed().as_nanos() as u64);
-        scratch.metrics.bump(if analyses.spl.is_spl() {
-            Counter::SplAnalysesFast
-        } else {
-            Counter::SplAnalysesFallback
-        });
-        if analyses.spl.depth_fast_ok() {
-            scratch.metrics.bump(Counter::SplFreqFast);
-        }
-        scratch
-            .metrics
-            .add(Counter::SplRegions, analyses.spl.regions() as u64);
-        scratch
-            .metrics
-            .add(Counter::SplLoopRegions, analyses.spl.loop_regions() as u64);
         // The assignment is part of the result (it escapes into
         // `AllocOutput`), but it is still pooled: abandoned rounds return
         // it below, and consumers hand the final one back through
@@ -489,7 +463,7 @@ pub fn run_pipeline_scratch(
                 .drain_into(&mut scratch.metrics);
         }
         // `analyses` stays alive past the class loop: the spill phase
-        // below consults the SPL decomposition for reload forwarding.
+        // below consults the run map for reload forwarding.
 
         // A vreg must be spilled at most once per round: classes partition
         // the universe and strategies spill whole nodes, so a duplicate here
@@ -537,9 +511,9 @@ pub fn run_pipeline_scratch(
         // return the vector to the pool for the next round to refill.
         scratch.assignments.put(assignment);
         let t0 = Instant::now();
-        // Region-aware spill placement: forward reloads along SPL linear
-        // runs for the early rounds; late rounds fall back to minimal
-        // per-use reloads so temporary pressure cannot stall convergence.
+        // Forward reloads along linear runs for the early rounds; late
+        // rounds fall back to minimal per-use reloads so temporary
+        // pressure cannot stall convergence.
         let fwd = if round <= SPL_FORWARD_MAX_ROUNDS {
             Some(&analyses.spl)
         } else {
@@ -553,7 +527,7 @@ pub fn run_pipeline_scratch(
             .observe_latency(Phase::Spill, t0.elapsed().as_nanos() as u64);
         scratch
             .metrics
-            .add(Counter::SplForwardedReloads, outcome.forwarded as u64);
+            .add(Counter::ForwardedReloads, outcome.forwarded as u64);
         analyses.recycle(&mut scratch.liveness);
         if tracer.enabled() {
             tracer.record(&Event::SpillCode {
@@ -618,26 +592,6 @@ pub fn run_pipeline_scratch_checked(
 ) -> Result<AllocOutput, AllocError> {
     let out = run_pipeline_scratch(func, target, strategy, tracer, scratch)?;
     check_output_metered(&out, target, tracer, mode, scope, scratch)?;
-    Ok(out)
-}
-
-/// [`run_pipeline_traced`] followed by the post-allocation symbolic
-/// checker (when `mode` says so): the returned allocation is
-/// independently proven semantics-preserving before anyone consumes it.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline_traced`], plus [`AllocError::CheckFailed`] when
-/// the checker finds a violation.
-pub fn run_pipeline_checked(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-) -> Result<AllocOutput, AllocError> {
-    let out = run_pipeline_traced(func, target, strategy, tracer)?;
-    check_output(&out, target, tracer, mode)?;
     Ok(out)
 }
 

@@ -7,21 +7,21 @@
 //! temporaries have tiny live ranges and are marked unspillable for
 //! subsequent rounds.
 //!
-//! When the caller hands over an SPL region decomposition
+//! When the caller hands over the CFG's linear runs
 //! ([`insert_spill_code_fwd`]), the pass additionally *forwards* reloaded
-//! (or just-stored) values along the decomposition's linear runs: inside a
-//! block, and across an edge that the region tree proves is the only way
-//! into the next block, a temporary that already holds the slot's value
-//! serves later uses directly instead of reloading per use. Forwarding
-//! lengthens temporary live ranges (they are unspillable), so the pipeline
-//! only enables it for the first [`SPL_FORWARD_MAX_ROUNDS`] spill rounds —
+//! (or just-stored) values: inside a block, and across an edge that is the
+//! only way into the next block, a temporary that already holds the slot's
+//! value serves later uses directly instead of reloading per use.
+//! Forwarding lengthens temporary live ranges, so the pipeline only
+//! enables it for the first [`SPL_FORWARD_MAX_ROUNDS`] spill rounds —
 //! late rounds revert to minimal per-use reloads to guarantee convergence.
 
-use pdgc_analysis::Spl;
+use pdgc_analysis::RunMap;
 use pdgc_ir::{Block, Function, Inst, VReg};
 
 /// Last spill round in which run-based reload forwarding stays enabled;
-/// later rounds insert minimal per-use reloads only.
+/// later rounds insert minimal per-use reloads only. The `SPL_` prefix is
+/// historical; the name stays for existing callers.
 pub const SPL_FORWARD_MAX_ROUNDS: usize = 4;
 
 /// The result of one spill-insertion pass.
@@ -53,17 +53,17 @@ pub fn insert_spill_code(
     insert_spill_code_fwd(func, spilled, next_slot, None)
 }
 
-/// [`insert_spill_code`] with reload forwarding along SPL linear runs.
+/// [`insert_spill_code`] with reload forwarding along linear runs.
 ///
-/// With `regions: None` (or a decomposition whose [`Spl::is_spl`] is
-/// false) this is exactly [`insert_spill_code`]: every use site reloads.
-/// With an SPL-shaped decomposition, a temporary that already holds a
-/// spilled value — from a reload or from the store after a def — serves
+/// With `runs: None` this is exactly [`insert_spill_code`]: every use site
+/// reloads. With a run map, a temporary that already holds a spilled
+/// value — from a reload or from the store after a def — serves
 /// subsequent uses in the same block, and across a block boundary when
-/// [`Spl::run_pred`] proves the boundary is a straight-line fall-through
-/// (the next block's only entry). Frame slots are still written at every
-/// def, so the memory image is identical either way; only redundant
-/// reloads disappear.
+/// [`RunMap::run_pred`] shows the boundary is a straight-line fall-through
+/// (the previous block's only exit and the next block's only entry). This
+/// holds on any CFG, irreducible ones included. Frame slots are still
+/// written at every def, so the memory image is identical either way;
+/// only redundant reloads disappear.
 ///
 /// # Panics
 ///
@@ -72,13 +72,13 @@ pub fn insert_spill_code_fwd(
     func: &mut Function,
     spilled: &[VReg],
     next_slot: &mut u32,
-    regions: Option<&Spl>,
+    runs: Option<&RunMap>,
 ) -> SpillOutcome {
     let mut outcome = SpillOutcome::default();
     if spilled.is_empty() {
         return outcome;
     }
-    let forwarding = regions.is_some_and(Spl::is_spl);
+    let forwarding = runs.is_some();
     // Per original vreg: the fresh temporary currently holding its value,
     // valid for the block whose index is `avail_owner` (and, via
     // `run_pred`, into that block's unique fall-through successor).
@@ -88,12 +88,14 @@ pub fn insert_spill_code_fwd(
         Vec::new()
     };
     let mut avail_owner: Option<usize> = None;
-    // Temporaries that ended up serving extra sites. They no longer have
-    // the tiny single-site live range that justifies the unspillable mark,
-    // so they are dropped from `new_temps` below and stay spillable: if a
-    // later round is squeezed, it can split them back into per-use
-    // reloads instead of blocking the simplify stack.
-    let mut widened: Vec<VReg> = Vec::new();
+    // Per vreg: whether it is a temporary that ended up serving extra
+    // sites. Such temporaries no longer have the tiny single-site live
+    // range that justifies the unspillable mark, so they are dropped from
+    // `new_temps` below and stay spillable: if a later round is squeezed,
+    // it can split them back into per-use reloads instead of blocking the
+    // simplify stack. Grown on demand; temporaries past its end are not
+    // widened.
+    let mut widened: Vec<bool> = Vec::new();
     let mut slot_of = vec![None; func.num_vregs()];
     let mut has_def = vec![false; func.num_vregs()];
     for b in func.block_ids() {
@@ -125,7 +127,7 @@ pub fn insert_spill_code_fwd(
             // sole exit (the run edge). Blocks are visited in id order, so
             // a run predecessor processed further back simply clears.
             let carried = avail_owner.is_some()
-                && regions.unwrap().run_pred(Block::new(bi)).map(|p| p.index()) == avail_owner;
+                && runs.unwrap().run_pred(Block::new(bi)).map(|p| p.index()) == avail_owner;
             if !carried {
                 avail.iter_mut().for_each(|a| *a = None);
             }
@@ -149,9 +151,10 @@ pub fn insert_spill_code_fwd(
                     if let Some(t) = avail[orig.index()] {
                         // A live temporary already holds the slot's value.
                         outcome.forwarded += 1;
-                        if !widened.contains(&t) {
-                            widened.push(t);
+                        if widened.len() <= t.index() {
+                            widened.resize(func.vreg_classes.len(), false);
                         }
+                        widened[t.index()] = true;
                         let (o, t) = (orig, t);
                         inst.visit_uses_mut(|u| {
                             if *u == o {
@@ -215,7 +218,9 @@ pub fn insert_spill_code_fwd(
         }
     }
     if !widened.is_empty() {
-        outcome.new_temps.retain(|t| !widened.contains(t));
+        outcome
+            .new_temps
+            .retain(|t| !widened.get(t.index()).copied().unwrap_or(false));
     }
     outcome
 }
@@ -273,6 +278,31 @@ mod tests {
             kinds,
             vec!["op", "spill", "reload", "op", "reload", "op", "ret"]
         );
+    }
+
+    #[test]
+    fn forwarded_temps_leave_new_temps_in_order() {
+        let mut b = FunctionBuilder::new("f", vec![RegClass::Int], Some(RegClass::Int));
+        let p = b.param(0);
+        let x = b.bin_imm(BinOp::Add, p, 1);
+        let y = b.bin_imm(BinOp::Add, p, 2);
+        let a = b.bin(BinOp::Mul, x, y);
+        b.call("g", vec![], None);
+        let c = b.bin(BinOp::Add, a, x);
+        let d = b.bin(BinOp::Add, c, y);
+        let e = b.bin(BinOp::Add, d, y);
+        b.ret(Some(e));
+        let mut f = b.finish();
+        let first_temp = f.num_vregs();
+        let runs = RunMap::compute(&pdgc_analysis::Cfg::compute(&f));
+        let mut next = 0;
+        let out = insert_spill_code_fwd(&mut f, &[x, y], &mut next, Some(&runs));
+        assert!(f.verify().is_ok());
+        // Temps in creation order: x's and y's stores (both forwarded into
+        // the mul), then the reloads after the call: x's (one use) and y's
+        // (forwarded into the second add).
+        assert_eq!((out.stores, out.loads, out.forwarded), (2, 2, 3));
+        assert_eq!(out.new_temps, vec![VReg::new(first_temp + 2)]);
     }
 
     #[test]

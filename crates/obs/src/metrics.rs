@@ -134,23 +134,13 @@ pub enum Counter {
     CacheEvictions,
     /// Cache hits re-proven by the sampled symbolic check.
     CacheHitChecks,
-    /// Analysis rounds where the SPL region tree drove liveness.
-    SplAnalysesFast,
-    /// Analysis rounds that fell back to the iterative solvers.
-    SplAnalysesFallback,
-    /// Analysis rounds where loop depth/frequency came off the region tree.
-    SplFreqFast,
-    /// Composite SPL regions built across all analysis rounds.
-    SplRegions,
-    /// Loop regions (while-shaped plus self-loops) among them.
-    SplLoopRegions,
-    /// Reloads avoided by forwarding along SPL linear runs.
-    SplForwardedReloads,
+    /// Reloads avoided by forwarding along linear runs.
+    ForwardedReloads,
 }
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 50] = [
+    pub const ALL: [Counter; 45] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -195,12 +185,7 @@ impl Counter {
         Counter::CacheInsertions,
         Counter::CacheEvictions,
         Counter::CacheHitChecks,
-        Counter::SplAnalysesFast,
-        Counter::SplAnalysesFallback,
-        Counter::SplFreqFast,
-        Counter::SplRegions,
-        Counter::SplLoopRegions,
-        Counter::SplForwardedReloads,
+        Counter::ForwardedReloads,
     ];
 
     /// Number of counters.
@@ -253,12 +238,7 @@ impl Counter {
             Counter::CacheInsertions => "cache_insertions",
             Counter::CacheEvictions => "cache_evictions",
             Counter::CacheHitChecks => "cache_hit_checks",
-            Counter::SplAnalysesFast => "spl_analyses_fast",
-            Counter::SplAnalysesFallback => "spl_analyses_fallback",
-            Counter::SplFreqFast => "spl_freq_fast",
-            Counter::SplRegions => "spl_regions",
-            Counter::SplLoopRegions => "spl_loop_regions",
-            Counter::SplForwardedReloads => "spl_forwarded_reloads",
+            Counter::ForwardedReloads => "forwarded_reloads",
         }
     }
 

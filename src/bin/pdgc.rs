@@ -593,15 +593,8 @@ const GATES: &[(&str, Gate, u128)] = &[
     ("pref_seq_minus_honored", Gate::LowerIsWorse, 5),
     ("pref_prefers_honored", Gate::LowerIsWorse, 5),
     ("funcs_allocated", Gate::Exact, 0),
-    // SPL fast-path coverage: fewer fast analyses / SPL-derived frequency
-    // computations means the decomposition stopped recognizing shapes it
-    // used to handle; more fallbacks means the same thing from the other
-    // side. Region counts are workload shape, pinned exactly.
-    ("spl_analyses_fast", Gate::LowerIsWorse, 0),
-    ("spl_analyses_fallback", Gate::HigherIsWorse, 0),
-    ("spl_freq_fast", Gate::LowerIsWorse, 0),
-    ("spl_regions", Gate::Exact, 0),
-    ("spl_loop_regions", Gate::Exact, 0),
+    // Reload forwarding over linear runs: a drop means it stopped firing.
+    ("forwarded_reloads", Gate::LowerIsWorse, 2),
 ];
 
 fn read_snapshot(path: &str) -> Result<pdgc::obs::json::Json, String> {
