@@ -28,18 +28,20 @@
 //! value replay is restricted to blocks the rewriter actually changed.
 //! Single-function entry points keep the full-replay default.
 //!
-//! # Tracer thread-safety contract
+//! # Tracing and phase times
 //!
-//! [`Tracer`]s are `&mut`-based single-threaded sinks and are **never
-//! shared across workers**: the driver builds one sink per *function*
-//! (a [`PhaseTimes`] accumulator, plus whatever [`run_batch_traced`]'s
-//! factory returns) on the worker that allocates it, and hands the
-//! collected sinks back to the caller after the pool joins. Aggregation
-//! (e.g. [`PhaseTimes::merge`]) happens on the calling thread only.
+//! Batch runs are untraced: every allocation gets a [`NoopTracer`], so
+//! select builds no decision events. Per-phase wall-clock still comes for
+//! free from the always-on metrics registry, which each function's slot
+//! carries back ([`BatchFuncResult::metrics`]) and the join merges in task
+//! order; `phases_ms` in `results/bench_batch.json` is its latency sums.
+//! [`pdgc_obs::Tracer`]s are `&mut`-based single-threaded sinks, so a
+//! caller that wants one function's trace calls
+//! [`RegisterAllocator::allocate_scratch`] on it directly.
 
 use crate::fingerprint_mach;
 use pdgc_core::{AllocStats, CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
-use pdgc_obs::{Event, MetricsRegistry, PhaseTimes, Tracer};
+use pdgc_obs::{MetricsRegistry, NoopTracer};
 use pdgc_target::TargetDesc;
 use pdgc_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,8 +62,6 @@ pub struct BatchFuncResult {
     /// FNV-1a hash of the rewritten machine function's printed form: two
     /// batch runs produced identical rewrite output iff these match.
     pub fingerprint: u64,
-    /// Allocator wall-clock per pipeline phase for this function.
-    pub phases: PhaseTimes,
     /// Always-on metrics drained from the worker's scratch after this
     /// function (counters, scorecard, and latency histograms).
     pub metrics: MetricsRegistry,
@@ -82,12 +82,11 @@ pub struct BatchResult {
     pub funcs: Vec<BatchFuncResult>,
     /// Statistics summed over all functions.
     pub stats: AllocStats,
-    /// Phase times summed over all functions (CPU time, so with `jobs > 1`
-    /// this exceeds `elapsed`).
-    pub phases: PhaseTimes,
     /// Metrics merged over all functions **in task order** at the
     /// slot-keyed join, so the deterministic sections (counters and
-    /// scorecard histograms) are bit-identical at every job count.
+    /// scorecard histograms) are bit-identical at every job count. Its
+    /// latency sums are per-phase CPU time, so with `jobs > 1` they
+    /// exceed `elapsed`.
     pub metrics: MetricsRegistry,
 }
 
@@ -109,100 +108,22 @@ impl BatchResult {
     }
 }
 
-/// Forwards events to both children; the per-function [`PhaseTimes`] and a
-/// caller-supplied sink observe one allocation without sharing anything
-/// across threads.
-struct PairTracer<'a>(&'a mut dyn Tracer, &'a mut dyn Tracer);
-
-impl Tracer for PairTracer<'_> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    fn wants_graphs(&self) -> bool {
-        self.0.wants_graphs() || self.1.wants_graphs()
-    }
-    fn record(&mut self, event: &Event) {
-        self.0.record(event);
-        self.1.record(event);
-    }
-}
-
 /// Allocates every function of `workloads` with `alloc` across `jobs`
-/// worker threads. `jobs` is clamped to at least 1; `jobs == 1` runs on
-/// the calling thread with no pool.
+/// worker threads, proving each allocation with the symbolic checker as
+/// `check` says. `jobs` is clamped to at least 1; `jobs == 1` runs on the
+/// calling thread with no pool.
 ///
 /// # Panics
 ///
-/// Panics if any allocation fails (the shipped workloads all allocate) or
-/// a worker thread panics.
+/// Panics if any allocation fails (the shipped workloads all allocate),
+/// including checker violations under `check`, or a worker thread panics.
 pub fn run_batch(
     alloc: &(dyn RegisterAllocator + Sync),
     workloads: &[Workload],
     target: &TargetDesc,
     jobs: usize,
-) -> BatchResult {
-    run_batch_checked(alloc, workloads, target, jobs, CheckMode::Off)
-}
-
-/// [`run_batch`] with the symbolic checker ([`pdgc_core::CheckMode`]) run
-/// on every allocation. A checker violation panics with the full violation
-/// list, like any other allocation failure.
-///
-/// # Panics
-///
-/// Same as [`run_batch`], plus checker violations under `check`.
-pub fn run_batch_checked(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
     check: CheckMode,
 ) -> BatchResult {
-    run_batch_traced_checked(alloc, workloads, target, jobs, |_| pdgc_obs::NoopTracer, check).0
-}
-
-/// [`run_batch`] with a caller-supplied per-function trace sink: `make(i)`
-/// builds the sink for task `i` (on the worker thread that claims it), and
-/// the sinks are returned in task order after the pool joins. Use this to
-/// attach a `RecordingTracer` or `JsonLinesSink` per function without any
-/// cross-thread sharing.
-///
-/// # Panics
-///
-/// Same as [`run_batch`].
-pub fn run_batch_traced<T, F>(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
-    make: F,
-) -> (BatchResult, Vec<T>)
-where
-    T: Tracer + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_batch_traced_checked(alloc, workloads, target, jobs, make, CheckMode::Off)
-}
-
-/// [`run_batch_traced`] with the symbolic checker run on every allocation.
-/// Checker failures are recorded as [`Event::CheckFailed`] in the
-/// function's sink before the driver panics.
-///
-/// # Panics
-///
-/// Same as [`run_batch`], plus checker violations under `check`.
-pub fn run_batch_traced_checked<T, F>(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
-    make: F,
-    check: CheckMode,
-) -> (BatchResult, Vec<T>)
-where
-    T: Tracer + Send,
-    F: Fn(usize) -> T + Sync,
-{
     let jobs = jobs.max(1);
     let tasks: Vec<(usize, &Workload, &pdgc_ir::Function)> = workloads
         .iter()
@@ -215,52 +136,42 @@ where
     // Slot per task, keyed by task index. Workers fill their claimed slots;
     // the index *is* the order — no sort happens after the pool joins, so
     // any claim/merge bug surfaces as an unfilled slot, not a reordering.
-    let collected: Mutex<Vec<Option<(BatchFuncResult, T)>>> =
+    let collected: Mutex<Vec<Option<BatchFuncResult>>> =
         Mutex::new((0..tasks.len()).map(|_| None).collect());
 
     let run_one =
         |i: usize, workload: &Workload, func: &pdgc_ir::Function, scratch: &mut PhaseScratch| {
-            let mut phases = PhaseTimes::default();
-            let mut sink = make(i);
-            let out = {
-                let mut pair = PairTracer(&mut phases, &mut sink);
-                alloc
-                    .allocate_scratch(
-                        func,
-                        target,
-                        &mut pair,
-                        check,
-                        CheckScope::Rewritten,
-                        scratch,
-                    )
-                    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name))
-            };
+            let out = alloc
+                .allocate_scratch(
+                    func,
+                    target,
+                    &mut NoopTracer,
+                    check,
+                    CheckScope::Rewritten,
+                    scratch,
+                )
+                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", alloc.name(), func.name));
             let fingerprint = fingerprint_mach(&out.mach);
-            let stats = out.stats.clone();
+            let stats = out.stats;
             // The result is consumed here (stats + fingerprint); hand its
             // buffers back so the next function on this worker reuses them.
             out.recycle(scratch);
-            (
-                BatchFuncResult {
-                    index: i,
-                    workload: workload.name.clone(),
-                    func: func.name.clone(),
-                    stats,
-                    fingerprint,
-                    phases,
-                    // Drain the always-on registry so each function's
-                    // metrics travel with its slot; the worker's scratch
-                    // starts the next function empty.
-                    metrics: std::mem::take(&mut scratch.metrics),
-                },
-                sink,
-            )
+            BatchFuncResult {
+                index: i,
+                workload: workload.name.clone(),
+                func: func.name.clone(),
+                stats,
+                fingerprint,
+                // Drain the always-on registry so each function's metrics
+                // travel with its slot; the worker's scratch starts the
+                // next function empty.
+                metrics: std::mem::take(&mut scratch.metrics),
+            }
         };
-    let place = |slots: &mut Vec<Option<(BatchFuncResult, T)>>,
-                 pair: (BatchFuncResult, T)| {
-        let slot = pair.0.index;
+    let place = |slots: &mut Vec<Option<BatchFuncResult>>, r: BatchFuncResult| {
+        let slot = r.index;
         debug_assert!(slots[slot].is_none(), "task {slot} claimed twice");
-        slots[slot] = Some(pair);
+        slots[slot] = Some(r);
     };
 
     let start = Instant::now();
@@ -268,8 +179,8 @@ where
         let mut scratch = PhaseScratch::new();
         let mut slots = collected.lock().expect("unpoisoned");
         for &(i, w, f) in &tasks {
-            let pair = run_one(i, w, f, &mut scratch);
-            place(&mut slots, pair);
+            let r = run_one(i, w, f, &mut scratch);
+            place(&mut slots, r);
         }
     } else {
         std::thread::scope(|scope| {
@@ -277,15 +188,15 @@ where
                 scope.spawn(|| {
                     // One scratch per worker, warm after the first function.
                     let mut scratch = PhaseScratch::new();
-                    let mut local: Vec<(BatchFuncResult, T)> = Vec::new();
+                    let mut local: Vec<BatchFuncResult> = Vec::new();
                     loop {
                         let t = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&(i, w, f)) = tasks.get(t) else { break };
                         local.push(run_one(i, w, f, &mut scratch));
                     }
                     let mut slots = collected.lock().expect("unpoisoned");
-                    for pair in local {
-                        place(&mut slots, pair);
+                    for r in local {
+                        place(&mut slots, r);
                     }
                 });
             }
@@ -295,32 +206,24 @@ where
 
     let slots = collected.into_inner().expect("unpoisoned");
     let mut stats = AllocStats::default();
-    let mut phases = PhaseTimes::default();
     let mut metrics = MetricsRegistry::default();
     let mut funcs = Vec::with_capacity(slots.len());
-    let mut sinks = Vec::with_capacity(slots.len());
-    for (i, pair) in slots.into_iter().enumerate() {
-        let (r, s) = pair.unwrap_or_else(|| panic!("task {i} was never claimed"));
+    for (i, slot) in slots.into_iter().enumerate() {
+        let r = slot.unwrap_or_else(|| panic!("task {i} was never claimed"));
         debug_assert_eq!(r.index, i);
         stats.accumulate(&r.stats);
-        phases.merge(&r.phases);
         metrics.merge(&r.metrics);
         funcs.push(r);
-        sinks.push(s);
     }
-    (
-        BatchResult {
-            allocator: alloc.name(),
-            target: target.name.clone(),
-            jobs,
-            elapsed,
-            funcs,
-            stats,
-            phases,
-            metrics,
-        },
-        sinks,
-    )
+    BatchResult {
+        allocator: alloc.name(),
+        target: target.name.clone(),
+        jobs,
+        elapsed,
+        funcs,
+        stats,
+        metrics,
+    }
 }
 
 /// A serial run and a parallel run of the same batch, for throughput
@@ -370,7 +273,7 @@ impl BatchComparison {
                 "speedup_vs_1_thread",
                 r.funcs_per_sec() / self.serial.funcs_per_sec().max(1e-9),
             )
-            .raw("phases_ms", &r.phases.json_millis())
+            .raw("phases_ms", &r.metrics.phases_ms_json())
             .finish()
     }
 
@@ -407,30 +310,16 @@ impl BatchComparison {
 }
 
 /// Runs the batch at `jobs == 1` and at `jobs`, `repeat` times each
-/// (keeping the best wall clock per job count), and pairs the results.
+/// (keeping the best wall clock per job count), with the symbolic checker
+/// run on every allocation as `check` says, and pairs the results.
 ///
 /// # Panics
 ///
-/// Panics if any allocation fails, or if repeats of the *same* job count
-/// disagree — that would mean allocation is not a pure function of its
-/// input, which the whole driver depends on.
+/// Panics if any allocation fails (checker violations included), or if
+/// repeats of the *same* job count disagree — that would mean allocation
+/// is not a pure function of its input, which the whole driver depends
+/// on.
 pub fn compare_jobs(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs: usize,
-    repeat: usize,
-) -> BatchComparison {
-    compare_jobs_checked(alloc, workloads, target, jobs, repeat, CheckMode::Off)
-}
-
-/// [`compare_jobs`] with the symbolic checker run on every allocation of
-/// both the serial and the parallel runs.
-///
-/// # Panics
-///
-/// Same as [`compare_jobs`], plus checker violations under `check`.
-pub fn compare_jobs_checked(
     alloc: &(dyn RegisterAllocator + Sync),
     workloads: &[Workload],
     target: &TargetDesc,
@@ -450,39 +339,6 @@ pub fn compare_jobs_checked(
     }
 }
 
-/// [`compare_jobs_checked`] across several job counts at once: the serial
-/// baseline is run **once** (best of `repeat`) and shared by every
-/// comparison, instead of being re-measured per jobs value.
-///
-/// # Panics
-///
-/// Same as [`compare_jobs`].
-pub fn compare_jobs_sweep(
-    alloc: &(dyn RegisterAllocator + Sync),
-    workloads: &[Workload],
-    target: &TargetDesc,
-    jobs_list: &[usize],
-    repeat: usize,
-    check: CheckMode,
-) -> Vec<BatchComparison> {
-    let repeat = repeat.max(1);
-    let (serial, serial_repeats) = best_of(alloc, workloads, target, 1, repeat, check);
-    jobs_list
-        .iter()
-        .map(|&jobs| {
-            let (parallel, parallel_repeats) =
-                best_of(alloc, workloads, target, jobs, repeat, check);
-            BatchComparison {
-                serial: serial.clone(),
-                parallel,
-                repeat,
-                serial_repeats: serial_repeats.clone(),
-                parallel_repeats,
-            }
-        })
-        .collect()
-}
-
 /// Runs the batch `repeat` times at one job count, asserting all repeats
 /// produce identical allocations, and keeps the best wall clock. Every
 /// repeat's wall-clock is returned alongside (in run order) so callers
@@ -498,7 +354,7 @@ fn best_of(
     let mut best: Option<BatchResult> = None;
     let mut repeats = Vec::with_capacity(repeat);
     for _ in 0..repeat {
-        let r = run_batch_checked(alloc, workloads, target, jobs, check);
+        let r = run_batch(alloc, workloads, target, jobs, check);
         repeats.push(r.elapsed);
         match &mut best {
             Some(prev) => {
@@ -520,7 +376,6 @@ fn best_of(
 mod tests {
     use super::*;
     use pdgc_core::PreferenceAllocator;
-    use pdgc_obs::RecordingTracer;
     use pdgc_target::PressureModel;
 
     fn small_workloads() -> Vec<Workload> {
@@ -535,8 +390,8 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::Middle);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let serial = run_batch(&alloc, &workloads, &target, 1);
-        let parallel = run_batch(&alloc, &workloads, &target, 3);
+        let serial = run_batch(&alloc, &workloads, &target, 1, CheckMode::Off);
+        let parallel = run_batch(&alloc, &workloads, &target, 3, CheckMode::Off);
         assert_eq!(serial.funcs.len(), 4);
         assert!(serial.same_allocations(&parallel));
         assert_eq!(serial.stats, parallel.stats);
@@ -549,33 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn per_function_sinks_observe_their_own_allocation() {
-        let target = TargetDesc::ia64_like(PressureModel::Middle);
-        let alloc = PreferenceAllocator::full();
-        let workloads = small_workloads();
-        let (result, sinks) = run_batch_traced(&alloc, &workloads, &target, 2, |_| {
-            let mut t = RecordingTracer::default();
-            t.set_enabled(true);
-            t
-        });
-        assert_eq!(sinks.len(), result.funcs.len());
-        for sink in &sinks {
-            // Every function's own sink saw its pipeline finish.
-            assert!(sink
-                .events()
-                .iter()
-                .any(|e| matches!(e, Event::Finish { .. })));
-        }
-        // Phase times were accumulated alongside the user sinks.
-        assert!(result.phases.total_nanos() > 0);
-    }
-
-    #[test]
     fn batch_runs_green_under_the_checker() {
         let target = TargetDesc::ia64_like(PressureModel::High);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let r = run_batch_checked(&alloc, &workloads, &target, 2, CheckMode::Always);
+        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Always);
         assert_eq!(r.funcs.len(), 4);
     }
 
@@ -584,7 +417,7 @@ mod tests {
         let target = TargetDesc::ia64_like(PressureModel::Middle);
         let alloc = PreferenceAllocator::full();
         let workloads = small_workloads();
-        let r = run_batch(&alloc, &workloads, &target, 2);
+        let r = run_batch(&alloc, &workloads, &target, 2, CheckMode::Off);
         for (i, f) in r.funcs.iter().enumerate() {
             assert_eq!(f.index, i);
         }

@@ -12,7 +12,7 @@
 //!    avoided by the full allocator on a byte-load-dense workload.
 
 use pdgc_bench::{
-    geo_mean, print_table, run_workload_metered, write_metrics, write_results, WorkloadResult,
+    geo_mean, print_table, run_workload, write_metrics, write_results, WorkloadResult,
 };
 use pdgc_core::baselines::{ChaitinAllocator, OptimisticAllocator, PriorityAllocator};
 use pdgc_core::{PreferenceAllocator, PreferenceSet, RegisterAllocator};
@@ -54,7 +54,7 @@ fn precoalesce(metrics: &mut MetricsRegistry) -> Vec<WorkloadResult> {
         let w = generate(&prof);
         let mut row = vec![prof.name.clone()];
         for a in &algs {
-            let r = run_workload_metered(a.as_ref(), &w, &target, metrics);
+            let r = run_workload(a.as_ref(), &w, &target, metrics);
             row.push(format!(
                 "{}/{}",
                 r.stats.moves_eliminated, r.stats.spill_instructions
@@ -106,7 +106,7 @@ fn ablation(metrics: &mut MetricsRegistry) -> Vec<WorkloadResult> {
             .iter()
             .map(|(_, prefs)| {
                 let alloc = PreferenceAllocator::with_preferences(*prefs);
-                let r = run_workload_metered(&alloc, &w, &target, metrics);
+                let r = run_workload(&alloc, &w, &target, metrics);
                 let c = r.cycles;
                 all.push(r);
                 c

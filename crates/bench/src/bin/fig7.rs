@@ -14,30 +14,8 @@ use pdgc_core::rpg::{build_rpg, PrefTarget};
 use pdgc_core::simplify::{simplify, SimplifyMode};
 use pdgc_core::{PreferenceAllocator, PreferenceSet, RegisterAllocator};
 use pdgc_ir::{BinOp, CmpOp, FunctionBuilder, RegClass};
-use pdgc_obs::{Event, JsonLinesSink, PhaseTimes, Tracer};
+use pdgc_obs::{JsonLinesSink, NoopTracer};
 use pdgc_target::TargetDesc;
-
-/// Duplicates every event to two tracers (here: the JSONL trace file and
-/// the per-phase accumulator feeding `results/fig7.json`).
-struct Tee<'a> {
-    a: &'a mut dyn Tracer,
-    b: &'a mut dyn Tracer,
-}
-
-impl Tracer for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn wants_graphs(&self) -> bool {
-        self.a.wants_graphs() || self.b.wants_graphs()
-    }
-
-    fn record(&mut self, event: &Event) {
-        self.a.record(event);
-        self.b.record(event);
-    }
-}
 
 /// `--trace PATH` / `--trace=PATH` from the command line, if given.
 fn trace_arg() -> Option<String> {
@@ -192,12 +170,11 @@ fn main() {
 
     // The full allocation, with the tracing layer attached: phase spans
     // and select decisions go to `--trace PATH` (JSON Lines) when given,
-    // and the per-phase wall-clock always lands in `results/fig7.json`.
+    // and the per-phase wall-clock (the always-on metrics registry's
+    // latency sums) always lands in `results/fig7.json`.
     let alloc = PreferenceAllocator::full();
     let check = check_arg();
-    let mut phases = PhaseTimes::default();
-    // The scratch path fills the always-on metrics registry alongside the
-    // tracer; single-function entry points keep the full checker scope.
+    // Single-function entry points keep the full checker scope.
     let mut scratch = pdgc_core::PhaseScratch::new();
     let scope = pdgc_core::CheckScope::Full;
     let out = match trace_arg() {
@@ -205,22 +182,16 @@ fn main() {
             let file = std::fs::File::create(&path)
                 .unwrap_or_else(|e| panic!("creating trace {path}: {e}"));
             let mut sink = JsonLinesSink::new(std::io::BufWriter::new(file));
-            let out = {
-                let mut tee = Tee {
-                    a: &mut sink,
-                    b: &mut phases,
-                };
-                alloc
-                    .allocate_scratch(&func, &target, &mut tee, check, scope, &mut scratch)
-                    .unwrap()
-            };
+            let out = alloc
+                .allocate_scratch(&func, &target, &mut sink, check, scope, &mut scratch)
+                .unwrap();
             use std::io::Write as _;
             sink.into_inner().flush().unwrap();
             eprintln!("trace written to {path}");
             out
         }
         None => alloc
-            .allocate_scratch(&func, &target, &mut phases, check, scope, &mut scratch)
+            .allocate_scratch(&func, &target, &mut NoopTracer, check, scope, &mut scratch)
             .unwrap(),
     };
     if check.should_check() {
@@ -245,7 +216,7 @@ fn main() {
         target: target.name.clone(),
         stats: out.stats,
         cycles: 0, // the Figure 7 walkthrough is not executed
-        phases,
+        metrics: scratch.metrics.clone(),
     };
     match write_results("fig7", &[record]) {
         Ok(path) => println!("results written to {}", path.display()),

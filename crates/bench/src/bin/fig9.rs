@@ -13,7 +13,7 @@
 //! Briggs-style coloring with aggressive coalescing.
 
 use pdgc_bench::{
-    fmt_ratio, print_table, run_workload_metered, write_metrics, write_results, WorkloadResult,
+    fmt_ratio, print_table, run_workload, write_metrics, write_results, WorkloadResult,
 };
 use pdgc_core::baselines::{BriggsAllocator, ChaitinAllocator, OptimisticAllocator};
 use pdgc_core::{ClassStats, PreferenceAllocator, RegisterAllocator};
@@ -51,14 +51,14 @@ fn main() {
         let workloads: Vec<_> = suite.iter().map(generate).collect();
         let base: Vec<WorkloadResult> = workloads
             .iter()
-            .map(|w| run_workload_metered(&ChaitinAllocator, w, &target, &mut metrics))
+            .map(|w| run_workload(&ChaitinAllocator, w, &target, &mut metrics))
             .collect();
         let results: Vec<Vec<WorkloadResult>> = algs
             .iter()
             .map(|a| {
                 workloads
                     .iter()
-                    .map(|w| run_workload_metered(a.as_ref(), w, &target, &mut metrics))
+                    .map(|w| run_workload(a.as_ref(), w, &target, &mut metrics))
                     .collect()
             })
             .collect();

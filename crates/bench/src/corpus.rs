@@ -20,7 +20,7 @@ use crate::fingerprint_mach;
 use pdgc_core::{CheckMode, CheckScope, PhaseScratch, RegisterAllocator};
 use pdgc_ir::{parse_function, parse_functions, Function};
 use pdgc_obs::json::{array, Json, JsonObject};
-use pdgc_obs::{MetricsRegistry, PhaseTimes};
+use pdgc_obs::{MetricsRegistry, NoopTracer};
 use pdgc_target::{parse_mach_function, TargetDesc};
 use std::path::{Path, PathBuf};
 
@@ -136,7 +136,6 @@ pub fn run_corpus(
     metrics: &mut MetricsRegistry,
 ) -> CorpusReport {
     let mut report = CorpusReport::default();
-    let mut phases = PhaseTimes::default();
     let mut scratch = PhaseScratch::new();
     for (file, text) in files {
         let funcs = match parse_functions(text) {
@@ -161,7 +160,7 @@ pub fn run_corpus(
                 let out = match alloc.allocate_scratch(
                     func,
                     target,
-                    &mut phases,
+                    &mut NoopTracer,
                     check,
                     CheckScope::Full,
                     &mut scratch,

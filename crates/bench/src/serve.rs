@@ -42,7 +42,7 @@
 //! request's `cached` flag — is bit-identical at every job count.
 
 use crate::{fingerprint_mach, stats_json};
-use pdgc_core::pipeline::check_output_metered;
+use pdgc_core::pipeline::check_output;
 use pdgc_core::{
     AllocOutput, CheckMode, CheckScope, PhaseScratch, PreferenceAllocator, RegisterAllocator,
 };
@@ -264,7 +264,7 @@ impl ServeSession {
         if recheck {
             self.metrics.bump(Counter::CacheHitChecks);
             let entry = self.cache.get(key).expect("checked above");
-            let verdict = check_output_metered(
+            let verdict = check_output(
                 &entry.out,
                 &entry.target,
                 &mut NoopTracer,

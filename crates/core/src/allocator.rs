@@ -1,16 +1,13 @@
 //! The public allocator API and the paper's allocator (Figure 8).
 
 use crate::cpg::Cpg;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_scratch_checked, run_pipeline_traced, Analyses, ClassCtx,
-    ClassStrategy, RoundOutcome,
-};
+use crate::pipeline::{run_pipeline, Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::rpg::build_rpg;
 use crate::scratch::PhaseScratch;
 use crate::select::{select_traced_in, SelectConfig};
 use crate::simplify::{simplify_in, SimplifyMode};
 use pdgc_ir::Function;
-use pdgc_obs::{with_span, Event, GraphKind, Phase, Tracer};
+use pdgc_obs::{Event, GraphKind, NoopTracer, Phase, PhaseSpan, Tracer};
 use pdgc_target::TargetDesc;
 
 pub use crate::pipeline::{AllocError, AllocOutput};
@@ -19,71 +16,44 @@ pub use pdgc_check::{CheckMode, CheckScope};
 
 /// A complete register allocator: lowers, colors, spills, and rewrites.
 ///
+/// Every allocator is a [`ClassStrategy`] plugged into the one pipeline
+/// driver, [`run_pipeline`]; an implementation only names itself.
 /// Implemented by [`PreferenceAllocator`] and every baseline in
 /// [`crate::baselines`], so harnesses can drive them interchangeably.
-pub trait RegisterAllocator {
+pub trait RegisterAllocator: ClassStrategy {
     /// A short identifier used in reports (e.g. `"full-preference"`).
     fn name(&self) -> &'static str;
 
-    /// Allocates `func` against `target`.
+    /// Allocates `func` against `target`: fresh scratch, no tracer, no
+    /// checker. Exactly [`Self::allocate_scratch`] with a fresh
+    /// [`PhaseScratch`], [`NoopTracer`], [`CheckMode::Off`] and
+    /// [`CheckScope::Full`].
     ///
     /// # Errors
     ///
     /// See [`AllocError`].
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError>;
-
-    /// Allocates `func` with an attached [`Tracer`] receiving phase spans
-    /// and (for tracing-aware allocators) decision events.
-    ///
-    /// The default ignores the tracer and defers to [`Self::allocate`];
-    /// every allocator in this crate overrides it to route through
-    /// [`run_pipeline_traced`]. Tracing never changes the allocation: with
-    /// any tracer the result is bit-identical to the untraced run.
-    ///
-    /// # Errors
-    ///
-    /// See [`AllocError`].
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        _tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        self.allocate(func, target)
+    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
+        self.allocate_scratch(
+            func,
+            target,
+            &mut NoopTracer,
+            CheckMode::Off,
+            CheckScope::Full,
+            &mut PhaseScratch::default(),
+        )
     }
 
-    /// [`Self::allocate_traced`] followed by the post-allocation symbolic
-    /// checker (`pdgc-check`) when `check` says so: the result is
-    /// independently proven semantics-preserving before it is returned.
+    /// Allocates `func` against `target` through [`run_pipeline`]:
+    /// `tracer` receives phase spans and decision events, the symbolic
+    /// checker (`pdgc-check`) proves the result as `check` and `scope`
+    /// say, and every phase's working storage and metrics live in
+    /// `scratch`. Batch drivers keep one scratch per worker thread and
+    /// call this in a loop; after the pools warm up the steady state
+    /// performs (near) zero heap allocation per function.
     ///
-    /// # Errors
-    ///
-    /// See [`AllocError`]; additionally [`AllocError::CheckFailed`] when
-    /// the checker finds a violation.
-    fn allocate_checked(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: CheckMode,
-    ) -> Result<AllocOutput, AllocError> {
-        let out = self.allocate_traced(func, target, tracer)?;
-        crate::pipeline::check_output(&out, target, tracer, check)?;
-        Ok(out)
-    }
-
-    /// [`Self::allocate_checked`] drawing every phase's working storage
-    /// from a per-worker [`PhaseScratch`] and scoping the checker with
-    /// `scope`. Batch drivers keep one scratch per worker thread and call
-    /// this in a loop; after the pools warm up the steady state performs
-    /// (near) zero heap allocation per function.
-    ///
-    /// The default still allocates fresh storage (only the checker is
-    /// pooled) and defers to [`Self::allocate_traced`]; scratch-aware
-    /// allocators override it with the fully pooled pipeline. Either way
-    /// the result is bit-identical to [`Self::allocate_checked`] with
-    /// [`CheckScope::Full`], and the checker's runs land in
-    /// `scratch.metrics` either way.
+    /// Neither the tracer nor the scratch's history changes the result:
+    /// it is bit-identical to [`Self::allocate`] whenever the checker
+    /// accepts it.
     ///
     /// # Errors
     ///
@@ -98,9 +68,7 @@ pub trait RegisterAllocator {
         scope: CheckScope,
         scratch: &mut PhaseScratch,
     ) -> Result<AllocOutput, AllocError> {
-        let out = self.allocate_traced(func, target, tracer)?;
-        crate::pipeline::check_output_metered(&out, target, tracer, check, scope, scratch)?;
-        Ok(out)
+        run_pipeline(func, target, self, tracer, check, scope, scratch)
     }
 }
 
@@ -175,12 +143,14 @@ impl ClassStrategy for PreferenceAllocator {
         let mut cls = std::mem::take(&mut ctx.scratch);
         let cost = ctx.cost_model(analyses);
         let rpg = build_rpg(ctx.func, &ctx.nodes, &cost, &ctx.copies, self.prefs, target);
-        let mut costs = ctx.spill_costs.clone();
+        // Only pre-coalescing needs spill costs folded onto merged
+        // representatives; otherwise simplify reads the context's own.
+        let mut folded = None;
         if self.pre_coalesce {
             // Conservative (never spill-causing) merges before simplify.
             use crate::baselines::{briggs_conservative_ok, fold_spill_costs, george_ok};
-            let t0 = std::time::Instant::now();
-            with_span(tracer, Phase::Coalesce, round, Some(class), || loop {
+            let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+            loop {
                 let mut merged = false;
                 for c in &ctx.copies {
                     let a = ctx.ifg.rep(c.dst);
@@ -207,11 +177,11 @@ impl ClassStrategy for PreferenceAllocator {
                 if !merged {
                     break;
                 }
-            });
-            cls.select
-                .metrics
-                .observe_latency(Phase::Coalesce, t0.elapsed().as_nanos() as u64);
+            }
+            span.finish(&mut cls.select.metrics, tracer);
+            let mut costs = ctx.spill_costs.clone();
             fold_spill_costs(&ctx.ifg, &mut costs);
+            folded = Some(costs);
             // A representative absorbing an unspillable temporary becomes
             // unspillable itself.
             for i in 0..ctx.nodes.num_nodes() {
@@ -221,23 +191,19 @@ impl ClassStrategy for PreferenceAllocator {
                 }
             }
         }
-        let t0 = std::time::Instant::now();
-        let cpg = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            let sr = simplify_in(
-                &mut ctx.ifg,
-                ctx.k,
-                &costs,
-                SimplifyMode::Optimistic,
-                &mut cls.simplify,
-            );
-            ctx.ifg.restore_all();
-            let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);
-            sr.recycle(&mut cls.simplify);
-            cpg
-        });
-        cls.select
-            .metrics
-            .observe_latency(Phase::Simplify, t0.elapsed().as_nanos() as u64);
+        let costs = folded.as_deref().unwrap_or(&ctx.spill_costs);
+        let span = PhaseSpan::start(Phase::Simplify, round, Some(class));
+        let sr = simplify_in(
+            &mut ctx.ifg,
+            ctx.k,
+            costs,
+            SimplifyMode::Optimistic,
+            &mut cls.simplify,
+        );
+        ctx.ifg.restore_all();
+        let cpg = Cpg::build_in(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k, &mut cls.cpg);
+        sr.recycle(&mut cls.simplify);
+        span.finish(&mut cls.select.metrics, tracer);
         if tracer.wants_graphs() {
             for (kind, dot) in [
                 (GraphKind::Ifg, crate::dot::ifg_to_dot(&ctx.ifg, &ctx.nodes)),
@@ -251,9 +217,7 @@ impl ClassStrategy for PreferenceAllocator {
             active_spill: self.prefs.volatility,
             nonvolatile_first: !self.prefs.volatility,
         };
-        // `with_span` can't wrap this call: select itself needs the tracer,
-        // so the span is timed by hand around the traced select.
-        let t0 = std::time::Instant::now();
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
         let res = select_traced_in(
             &ctx.ifg,
             &ctx.nodes,
@@ -267,30 +231,22 @@ impl ClassStrategy for PreferenceAllocator {
             tracer,
             &mut cls.select,
         );
-        let select_nanos = t0.elapsed().as_nanos();
-        cls.select
-            .metrics
-            .observe_latency(Phase::Select, select_nanos as u64);
-        if tracer.enabled() {
-            tracer.record(&Event::Span {
-                phase: Phase::Select,
-                round,
-                class: Some(class),
-                nanos: select_nanos,
-            });
-        }
+        span.finish(&mut cls.select.metrics, tracer);
         cpg.recycle(&mut cls.cpg);
         let mut assignment = res.assignment;
         let mut spilled = res.spilled;
         if self.pre_coalesce {
             // Merged nodes share their representative's fate.
             use crate::node::NodeId;
-            let spilled_reps: Vec<NodeId> = spilled.clone();
+            let mut rep_spilled = vec![false; ctx.nodes.num_nodes()];
+            for n in &spilled {
+                rep_spilled[n.index()] = true;
+            }
             for i in 0..ctx.nodes.num_nodes() {
                 let n = NodeId::new(i);
                 if ctx.ifg.is_merged(n) {
                     let r = ctx.ifg.rep(n);
-                    if spilled_reps.contains(&r) {
+                    if rep_spilled[r.index()] {
                         spilled.push(n);
                     } else if assignment[i].is_none() {
                         assignment[i] = assignment[r.index()];
@@ -311,31 +267,6 @@ impl RegisterAllocator for PreferenceAllocator {
             (false, true) => "pdgc-coalescing+cc",
             (false, false) => "pdgc-coalescing-only",
         }
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: CheckMode,
-        scope: CheckScope,
-        scratch: &mut PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_scratch_checked(func, target, self, tracer, check, scope, scratch)
     }
 }
 

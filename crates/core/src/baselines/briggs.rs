@@ -2,13 +2,10 @@
 //! coloring — Figure 1(b); "Briggs + aggressive" in the paper's §6.
 
 use super::coalesce::{aggressive_coalesce, color_stack, fold_spill_costs, propagate_merged};
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::simplify::{simplify, SimplifyMode};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Phase, Tracer};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseSpan, Tracer};
 use pdgc_target::TargetDesc;
 
 /// Briggs-style optimistic coloring: aggressive coalescing, optimistic
@@ -27,26 +24,25 @@ impl ClassStrategy for BriggsAllocator {
     ) -> RoundOutcome {
         let round = ctx.round as u32;
         let class = ctx.class;
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let sr = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Optimistic)
-        });
+        let span = PhaseSpan::start(Phase::Simplify, round, Some(class));
+        let sr = simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Optimistic);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         ctx.ifg.restore_all();
-        let (mut assignment, spilled_reps) =
-            with_span(tracer, Phase::Select, round, Some(class), || {
-                color_stack(
-                    &ctx.ifg,
-                    &ctx.nodes,
-                    &sr.stack,
-                    target,
-                    Some(&ctx.copies), // biased coloring
-                    true,
-                )
-            });
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
+        let (mut assignment, spilled_reps) = color_stack(
+            &ctx.ifg,
+            &ctx.nodes,
+            &sr.stack,
+            target,
+            Some(&ctx.copies), // biased coloring
+            true,
+        );
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         propagate_merged(&ctx.ifg, &mut assignment);
         // A spilled representative spills all members.
         let mut spilled = Vec::new();
@@ -66,33 +62,6 @@ impl ClassStrategy for BriggsAllocator {
 impl RegisterAllocator for BriggsAllocator {
     fn name(&self) -> &'static str {
         "briggs-aggressive"
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
     }
 }
 

@@ -12,12 +12,9 @@
 
 use super::coalesce::{aggressive_coalesce, fold_spill_costs, propagate_merged};
 use crate::node::NodeId;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Event, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseSpan, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 use std::collections::HashMap;
 
@@ -36,9 +33,9 @@ impl ClassStrategy for CallCostAllocator {
         let round = ctx.round as u32;
         let class = ctx.class;
         let k = ctx.k;
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
 
@@ -91,7 +88,8 @@ impl ClassStrategy for CallCostAllocator {
         let priority = |n: NodeId| benefit_vol[n.index()].max(benefit_nonvol[n.index()]);
         let mut stack: Vec<NodeId> = Vec::new();
         let mut chaitin_spills: Vec<NodeId> = Vec::new();
-        with_span(tracer, Phase::Simplify, round, Some(class), || loop {
+        let span = PhaseSpan::start(Phase::Simplify, round, Some(class));
+        loop {
             let active = ctx.ifg.active_live_ranges();
             if active.is_empty() {
                 break;
@@ -118,9 +116,10 @@ impl ClassStrategy for CallCostAllocator {
                 .expect("call-cost: only unspillable nodes remain");
             ctx.ifg.remove(cand);
             chaitin_spills.push(cand);
-        });
+        }
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
 
-        let select_started = tracer.enabled().then(std::time::Instant::now);
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
         let mut assignment: Vec<Option<PhysReg>> = (0..nn)
             .map(|i| {
                 let n = NodeId::new(i);
@@ -193,14 +192,7 @@ impl ClassStrategy for CallCostAllocator {
                 }
             }
         }
-        if let Some(t0) = select_started {
-            tracer.record(&Event::Span {
-                phase: Phase::Select,
-                round,
-                class: Some(class),
-                nanos: t0.elapsed().as_nanos(),
-            });
-        }
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         RoundOutcome { assignment, spilled }
     }
 }
@@ -208,33 +200,6 @@ impl ClassStrategy for CallCostAllocator {
 impl RegisterAllocator for CallCostAllocator {
     fn name(&self) -> &'static str {
         "aggressive+volatility"
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
     }
 }
 

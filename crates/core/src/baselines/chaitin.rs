@@ -2,13 +2,10 @@
 //! paper and the *base* algorithm of the Figure 9 ratios.
 
 use super::coalesce::{aggressive_coalesce, color_stack, fold_spill_costs, propagate_merged};
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::simplify::{simplify, SimplifyMode};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Phase, Tracer};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseSpan, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
 /// Chaitin-style coloring: renumber → build → **aggressive coalesce** →
@@ -27,14 +24,14 @@ impl ClassStrategy for ChaitinAllocator {
     ) -> RoundOutcome {
         let round = ctx.round as u32;
         let class = ctx.class;
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let sr = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Chaitin)
-        });
+        let span = PhaseSpan::start(Phase::Simplify, round, Some(class));
+        let sr = simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Chaitin);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         if sr.must_spill() {
             // Spill decisions are definite: split now, retry next round.
             let assignment: Vec<Option<PhysReg>> = (0..ctx.nodes.num_nodes())
@@ -56,16 +53,16 @@ impl ClassStrategy for ChaitinAllocator {
             return RoundOutcome { assignment, spilled };
         }
         ctx.ifg.restore_all();
-        let (mut assignment, spilled) = with_span(tracer, Phase::Select, round, Some(class), || {
-            color_stack(
-                &ctx.ifg,
-                &ctx.nodes,
-                &sr.stack,
-                target,
-                None,
-                true, // the §6.2 non-volatile-first heuristic
-            )
-        });
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
+        let (mut assignment, spilled) = color_stack(
+            &ctx.ifg,
+            &ctx.nodes,
+            &sr.stack,
+            target,
+            None,
+            true, // the §6.2 non-volatile-first heuristic
+        );
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         assert!(
             spilled.is_empty(),
             "Chaitin select found no color after clean simplification"
@@ -81,33 +78,6 @@ impl ClassStrategy for ChaitinAllocator {
 impl RegisterAllocator for ChaitinAllocator {
     fn name(&self) -> &'static str {
         "chaitin-aggressive"
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
     }
 }
 

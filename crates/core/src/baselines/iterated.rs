@@ -11,12 +11,9 @@ use super::coalesce::{
     briggs_conservative_ok, color_stack, fold_spill_costs, george_ok, propagate_merged,
 };
 use crate::node::NodeId;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseSpan, Tracer};
 use pdgc_target::TargetDesc;
 
 /// The iterated-coalescing allocator.
@@ -60,7 +57,8 @@ impl ClassStrategy for IteratedAllocator {
 
         // Simplify / conservative-coalesce / freeze / potential-spill are
         // interleaved in one worklist loop, so one Coalesce span covers it.
-        with_span(tracer, Phase::Coalesce, round, Some(class), || loop {
+        let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+        loop {
             let active = ctx.ifg.active_live_ranges();
             if active.is_empty() {
                 break;
@@ -124,13 +122,14 @@ impl ClassStrategy for IteratedAllocator {
             ctx.ifg.remove(cand);
             stack.push(cand);
             optimistic.push(cand);
-        });
+        }
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
 
         ctx.ifg.restore_all();
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
         let (mut assignment, spilled_reps) =
-            with_span(tracer, Phase::Select, round, Some(class), || {
-                color_stack(&ctx.ifg, &ctx.nodes, &stack, target, Some(&ctx.copies), true)
-            });
+            color_stack(&ctx.ifg, &ctx.nodes, &stack, target, Some(&ctx.copies), true);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         propagate_merged(&ctx.ifg, &mut assignment);
         let mut spilled = Vec::new();
         for &s in &spilled_reps {
@@ -149,33 +148,6 @@ impl ClassStrategy for IteratedAllocator {
 impl RegisterAllocator for IteratedAllocator {
     fn name(&self) -> &'static str {
         "iterated-coalescing"
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
     }
 }
 

@@ -9,13 +9,10 @@
 
 use super::coalesce::{aggressive_coalesce, fold_spill_costs};
 use crate::node::NodeId;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
 use crate::simplify::{simplify, SimplifyMode};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::Function;
-use pdgc_obs::{with_span, Event, Phase, Tracer};
+use crate::RegisterAllocator;
+use pdgc_obs::{Phase, PhaseSpan, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
 /// The optimistic-coalescing allocator.
@@ -35,17 +32,17 @@ impl ClassStrategy for OptimisticAllocator {
         // Keep the pre-coalescing graph: undoing needs primitive
         // interference.
         let pristine = ctx.ifg.clone();
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let sr = with_span(tracer, Phase::Simplify, round, Some(class), || {
-            simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Optimistic)
-        });
+        let span = PhaseSpan::start(Phase::Simplify, round, Some(class));
+        let sr = simplify(&mut ctx.ifg, ctx.k, &costs, SimplifyMode::Optimistic);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         ctx.ifg.restore_all();
 
-        let select_started = tracer.enabled().then(std::time::Instant::now);
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
         let nn = ctx.nodes.num_nodes();
         let mut assignment: Vec<Option<PhysReg>> = (0..nn)
             .map(|i| {
@@ -153,14 +150,7 @@ impl ClassStrategy for OptimisticAllocator {
                 assignment[i] = assignment[ctx.ifg.rep(p).index()];
             }
         }
-        if let Some(t0) = select_started {
-            tracer.record(&Event::Span {
-                phase: Phase::Select,
-                round,
-                class: Some(class),
-                nanos: t0.elapsed().as_nanos(),
-            });
-        }
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         RoundOutcome { assignment, spilled }
     }
 }
@@ -168,33 +158,6 @@ impl ClassStrategy for OptimisticAllocator {
 impl RegisterAllocator for OptimisticAllocator {
     fn name(&self) -> &'static str {
         "optimistic-coalescing"
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
     }
 }
 

@@ -16,12 +16,10 @@
 
 use super::coalesce::{aggressive_coalesce, fold_spill_costs, propagate_merged};
 use crate::node::NodeId;
-use crate::pipeline::{
-    run_pipeline, run_pipeline_traced, Analyses, ClassCtx, ClassStrategy, RoundOutcome,
-};
-use crate::{AllocError, AllocOutput, RegisterAllocator};
-use pdgc_ir::{Function, VReg};
-use pdgc_obs::{with_span, Event, Phase, Tracer};
+use crate::pipeline::{Analyses, ClassCtx, ClassStrategy, RoundOutcome};
+use crate::RegisterAllocator;
+use pdgc_ir::VReg;
+use pdgc_obs::{Phase, PhaseSpan, Tracer};
 use pdgc_target::{PhysReg, TargetDesc};
 
 /// The priority-based allocator.
@@ -40,12 +38,12 @@ impl ClassStrategy for PriorityAllocator {
         let class = ctx.class;
         // Copy coalescing as in the other baselines (priority-based
         // allocators in practice ran after copy propagation).
-        with_span(tracer, Phase::Coalesce, round, Some(class), || {
-            aggressive_coalesce(&mut ctx.ifg, &ctx.copies)
-        });
+        let span = PhaseSpan::start(Phase::Coalesce, round, Some(class));
+        aggressive_coalesce(&mut ctx.ifg, &ctx.copies);
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         let mut costs = ctx.spill_costs.clone();
         fold_spill_costs(&ctx.ifg, &mut costs);
-        let select_started = tracer.enabled().then(std::time::Instant::now);
+        let span = PhaseSpan::start(Phase::Select, round, Some(class));
 
         // Live-range "area": the number of instruction points each node's
         // members are live across.
@@ -124,14 +122,7 @@ impl ClassStrategy for PriorityAllocator {
                 }
             }
         }
-        if let Some(t0) = select_started {
-            tracer.record(&Event::Span {
-                phase: Phase::Select,
-                round,
-                class: Some(class),
-                nanos: t0.elapsed().as_nanos(),
-            });
-        }
+        span.finish(&mut ctx.scratch.select.metrics, tracer);
         RoundOutcome { assignment, spilled }
     }
 }
@@ -139,33 +130,6 @@ impl ClassStrategy for PriorityAllocator {
 impl RegisterAllocator for PriorityAllocator {
     fn name(&self) -> &'static str {
         "priority-based"
-    }
-
-    fn allocate(&self, func: &Function, target: &TargetDesc) -> Result<AllocOutput, AllocError> {
-        run_pipeline(func, target, self)
-    }
-
-    fn allocate_traced(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-    ) -> Result<AllocOutput, AllocError> {
-        run_pipeline_traced(func, target, self, tracer)
-    }
-
-    fn allocate_scratch(
-        &self,
-        func: &Function,
-        target: &TargetDesc,
-        tracer: &mut dyn Tracer,
-        check: crate::CheckMode,
-        scope: crate::CheckScope,
-        scratch: &mut crate::PhaseScratch,
-    ) -> Result<AllocOutput, AllocError> {
-        crate::pipeline::run_pipeline_scratch_checked(
-            func, target, self, tracer, check, scope, scratch,
-        )
     }
 }
 

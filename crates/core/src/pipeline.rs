@@ -27,12 +27,11 @@ use crate::stats::AllocStats;
 use pdgc_analysis::{
     CallCrossing, Cfg, DefUse, Dominators, Liveness, LivenessScratch, Loops, RunMap,
 };
-use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope, CheckScratch};
+use pdgc_check::{check_allocation_in, CheckError, CheckMode, CheckScope};
 use pdgc_ir::{Function, RegClass, VReg};
-use pdgc_obs::{with_span, Counter, Event, NoopTracer, Phase, Tracer, ValueHist};
+use pdgc_obs::{Counter, Event, Phase, PhaseSpan, Tracer, ValueHist};
 use pdgc_target::{MachFunction, PhysReg, TargetDesc};
 use std::fmt;
-use std::time::Instant;
 
 /// Upper bound on spill iterations before giving up.
 pub const MAX_ROUNDS: usize = 16;
@@ -116,7 +115,9 @@ pub struct ClassCtx<'a> {
     /// Pooled simplify/select scratch. Scratch-aware strategies
     /// `std::mem::take` this at the top of `allocate_class` and move it
     /// back before returning; the pipeline then hoists it into the
-    /// worker's [`PhaseScratch`] for the next class.
+    /// worker's [`PhaseScratch`] for the next class. Its `select.metrics`
+    /// registry collects the strategy's phase spans and counters, which
+    /// the pipeline drains into the worker registry after each class.
     pub scratch: ClassScratch,
 }
 
@@ -141,9 +142,11 @@ pub trait ClassStrategy {
     /// Produces an assignment (and possibly spill decisions) for the
     /// class universe in `ctx`.
     ///
-    /// `tracer` receives phase spans and decision events; strategies must
-    /// check [`Tracer::enabled`] before constructing events so the
-    /// [`NoopTracer`] path stays free.
+    /// Strategies time their phases (coalesce, simplify, select) with a
+    /// [`PhaseSpan`] finished into `ctx.scratch.select.metrics`, which
+    /// also hands the span to `tracer`. Decision events must check
+    /// [`Tracer::enabled`] before they are constructed, so the
+    /// [`NoopTracer`](pdgc_obs::NoopTracer) path stays free.
     fn allocate_class(
         &self,
         ctx: &mut ClassCtx<'_>,
@@ -226,40 +229,10 @@ impl AllocOutput {
     }
 }
 
-/// Builds a [`ClassCtx`] for one class of the lowered function.
-pub fn class_ctx<'a>(
-    lowered: &'a Lowered,
-    target: &TargetDesc,
-    class: RegClass,
-    analyses: &Analyses,
-    no_spill_vregs: &[bool],
-) -> ClassCtx<'a> {
-    class_ctx_for_round(lowered, target, class, analyses, no_spill_vregs, 1)
-}
-
-/// [`class_ctx`] with an explicit round number recorded for tracing.
-pub fn class_ctx_for_round<'a>(
-    lowered: &'a Lowered,
-    target: &TargetDesc,
-    class: RegClass,
-    analyses: &Analyses,
-    no_spill_vregs: &[bool],
-    round: usize,
-) -> ClassCtx<'a> {
-    class_ctx_for_round_in(
-        lowered,
-        target,
-        class,
-        analyses,
-        no_spill_vregs,
-        round,
-        &mut PhaseScratch::default(),
-    )
-}
-
-/// [`class_ctx_for_round`] drawing the node universe, interference graph,
-/// copy records, and cost vectors from pooled scratch. Return the consumed
-/// context with [`recycle_class_ctx`] when done.
+/// Builds the [`ClassCtx`] for one class of the lowered function in spill
+/// `round`, drawing the node universe, interference graph, copy records,
+/// and cost vectors from pooled scratch. Return the consumed context with
+/// [`recycle_class_ctx`] when done.
 pub fn class_ctx_for_round_in<'a>(
     lowered: &'a Lowered,
     target: &TargetDesc,
@@ -333,68 +306,73 @@ pub fn recycle_class_ctx(ctx: ClassCtx<'_>, scratch: &mut PhaseScratch) {
     scratch.class = class_scratch;
 }
 
-/// Runs the full pipeline with the given strategy.
+/// Allocates `func` against `target` with `strategy`, then runs the
+/// symbolic checker as `check` and `scope` say. Every allocator's
+/// [`RegisterAllocator::allocate_scratch`] routes through here.
+///
+/// Each phase (lower, analyze, build, whatever phases the strategy times,
+/// spill, rewrite, check) is timed by one [`PhaseSpan`] into
+/// `scratch.metrics`; `tracer` additionally receives the spans, the
+/// strategy's decision events, spill-code insertion and the final
+/// statistics when enabled. Tracing never changes the allocation.
+///
+/// All working storage comes from `scratch`. Every pooled phase has a
+/// single code path, so the result is bit-identical whether the pools are
+/// warm, cold, or shared across thousands of functions; batch drivers
+/// keep one scratch per worker thread, and after warm-up the steady state
+/// performs (near) zero heap allocation per function.
+///
+/// [`RegisterAllocator::allocate_scratch`]: crate::RegisterAllocator::allocate_scratch
 ///
 /// # Errors
 ///
-/// Returns [`AllocError::Lower`] if the function cannot be lowered against
-/// the convention, or [`AllocError::TooManyRounds`] if spilling fails to
-/// converge.
-pub fn run_pipeline(
+/// [`AllocError::Lower`] if the function cannot be lowered against the
+/// convention, [`AllocError::TooManyRounds`] if spilling fails to
+/// converge, or [`AllocError::CheckFailed`] when the checker finds a
+/// violation.
+pub fn run_pipeline<S: ClassStrategy + ?Sized>(
     func: &Function,
     target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-) -> Result<AllocOutput, AllocError> {
-    run_pipeline_traced(func, target, strategy, &mut NoopTracer)
-}
-
-/// [`run_pipeline`] with an attached [`Tracer`].
-///
-/// Every phase is wrapped in a span (lower, analyze, build, then whatever
-/// phases the strategy emits, spill, rewrite); spill-code insertion and
-/// the final statistics are reported as events. With [`NoopTracer`] this
-/// is exactly [`run_pipeline`]: no clock reads, no allocation, no I/O.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline`].
-pub fn run_pipeline_traced(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
+    strategy: &S,
     tracer: &mut dyn Tracer,
-) -> Result<AllocOutput, AllocError> {
-    run_pipeline_scratch(func, target, strategy, tracer, &mut PhaseScratch::default())
-}
-
-/// [`run_pipeline_traced`] drawing every phase's working storage from a
-/// per-worker [`PhaseScratch`].
-///
-/// With a fresh scratch this is exactly [`run_pipeline_traced`] — every
-/// pooled phase has a single code path, so the result is bit-identical
-/// whether the pools are warm, cold, or shared across thousands of
-/// functions. Batch drivers keep one scratch per worker thread; after
-/// warm-up the steady state performs (near) zero heap allocation per
-/// function.
-///
-/// # Errors
-///
-/// Same as [`run_pipeline`].
-pub fn run_pipeline_scratch(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-    tracer: &mut dyn Tracer,
+    check: CheckMode,
+    scope: CheckScope,
     scratch: &mut PhaseScratch,
 ) -> Result<AllocOutput, AllocError> {
-    // Always-on metrics: each phase gets a manual `Instant` pair recorded
-    // into `scratch.metrics` (an array bump, no allocation), independent
-    // of whether the opt-in tracer is attached.
-    let t0 = Instant::now();
-    let mut lowered = with_span(tracer, Phase::Lower, 0, None, || lower_abi(func, target))?;
-    scratch
-        .metrics
-        .observe_latency(Phase::Lower, t0.elapsed().as_nanos() as u64);
+    run_rounds(func, target, &ByRef(strategy), tracer, check, scope, scratch)
+}
+
+/// A sized handle on a possibly unsized strategy, so [`run_pipeline`] can
+/// hand it to the driver body as `&dyn ClassStrategy`. That keeps the body
+/// non-generic: it is compiled once, here, instead of once per strategy
+/// in every crate that allocates.
+struct ByRef<'a, S: ?Sized>(&'a S);
+
+impl<S: ClassStrategy + ?Sized> ClassStrategy for ByRef<'_, S> {
+    fn allocate_class(
+        &self,
+        ctx: &mut ClassCtx<'_>,
+        analyses: &Analyses,
+        target: &TargetDesc,
+        tracer: &mut dyn Tracer,
+    ) -> RoundOutcome {
+        self.0.allocate_class(ctx, analyses, target, tracer)
+    }
+}
+
+fn run_rounds(
+    func: &Function,
+    target: &TargetDesc,
+    strategy: &dyn ClassStrategy,
+    tracer: &mut dyn Tracer,
+    check: CheckMode,
+    scope: CheckScope,
+    scratch: &mut PhaseScratch,
+) -> Result<AllocOutput, AllocError> {
+    let span = PhaseSpan::start(Phase::Lower, 0, None);
+    let lowered = lower_abi(func, target);
+    span.finish(&mut scratch.metrics, tracer);
+    let mut lowered = lowered?;
     let mut no_spill_vregs = scratch.flags.take_filled(lowered.func.num_vregs(), false);
     let mut slots = 0u32;
     let mut stats = AllocStats::default();
@@ -403,13 +381,9 @@ pub fn run_pipeline_scratch(
         if tracer.enabled() {
             tracer.record(&Event::RoundStart { round: round as u32 });
         }
-        let t0 = Instant::now();
-        let analyses = with_span(tracer, Phase::Analyze, round as u32, None, || {
-            analyze_in(&lowered.func, &mut scratch.liveness)
-        });
-        scratch
-            .metrics
-            .observe_latency(Phase::Analyze, t0.elapsed().as_nanos() as u64);
+        let span = PhaseSpan::start(Phase::Analyze, round as u32, None);
+        let analyses = analyze_in(&lowered.func, &mut scratch.liveness);
+        span.finish(&mut scratch.metrics, tracer);
         // The assignment is part of the result (it escapes into
         // `AllocOutput`), but it is still pooled: abandoned rounds return
         // it below, and consumers hand the final one back through
@@ -419,21 +393,17 @@ pub fn run_pipeline_scratch(
         let mut spilled_vregs: Vec<VReg> = scratch.vregs.take();
 
         for class in RegClass::ALL {
-            let t0 = Instant::now();
-            let mut ctx = with_span(tracer, Phase::Build, round as u32, Some(class), || {
-                class_ctx_for_round_in(
-                    &lowered,
-                    target,
-                    class,
-                    &analyses,
-                    &no_spill_vregs,
-                    round,
-                    scratch,
-                )
-            });
-            scratch
-                .metrics
-                .observe_latency(Phase::Build, t0.elapsed().as_nanos() as u64);
+            let span = PhaseSpan::start(Phase::Build, round as u32, Some(class));
+            let mut ctx = class_ctx_for_round_in(
+                &lowered,
+                target,
+                class,
+                &analyses,
+                &no_spill_vregs,
+                round,
+                scratch,
+            );
+            span.finish(&mut scratch.metrics, tracer);
             let outcome = strategy.allocate_class(&mut ctx, &analyses, target, tracer);
             for n in ctx.nodes.all_nodes() {
                 if let Some(r) = outcome.assignment[n.index()] {
@@ -483,13 +453,9 @@ pub fn run_pipeline_scratch(
             analyses.recycle(&mut scratch.liveness);
             scratch.vregs.put(spilled_vregs);
             stats.rounds = round;
-            let t0 = Instant::now();
-            let mach = with_span(tracer, Phase::Rewrite, round as u32, None, || {
-                rewrite_in(&lowered.func, &assignment, target, slots, &mut stats, scratch)
-            });
-            scratch
-                .metrics
-                .observe_latency(Phase::Rewrite, t0.elapsed().as_nanos() as u64);
+            let span = PhaseSpan::start(Phase::Rewrite, round as u32, None);
+            let mach = rewrite_in(&lowered.func, &assignment, target, slots, &mut stats, scratch);
+            span.finish(&mut scratch.metrics, tracer);
             record_scorecard(&mut scratch.metrics, &stats);
             if tracer.enabled() {
                 tracer.record(&Event::Finish {
@@ -499,18 +465,19 @@ pub fn run_pipeline_scratch(
                 });
             }
             scratch.flags.put(no_spill_vregs);
-            return Ok(AllocOutput {
+            let out = AllocOutput {
                 mach,
                 stats,
                 lowered: lowered.func,
                 assignment,
-            });
+            };
+            check_output(&out, target, tracer, check, scope, scratch)?;
+            return Ok(out);
         }
 
         // This round spills and iterates; its assignment is abandoned, so
         // return the vector to the pool for the next round to refill.
         scratch.assignments.put(assignment);
-        let t0 = Instant::now();
         // Forward reloads along linear runs for the early rounds; late
         // rounds fall back to minimal per-use reloads so temporary
         // pressure cannot stall convergence.
@@ -519,12 +486,9 @@ pub fn run_pipeline_scratch(
         } else {
             None
         };
-        let outcome = with_span(tracer, Phase::Spill, round as u32, None, || {
-            insert_spill_code_fwd(&mut lowered.func, &spilled_vregs, &mut slots, fwd)
-        });
-        scratch
-            .metrics
-            .observe_latency(Phase::Spill, t0.elapsed().as_nanos() as u64);
+        let span = PhaseSpan::start(Phase::Spill, round as u32, None);
+        let outcome = insert_spill_code_fwd(&mut lowered.func, &spilled_vregs, &mut slots, fwd);
+        span.finish(&mut scratch.metrics, tracer);
         scratch
             .metrics
             .add(Counter::ForwardedReloads, outcome.forwarded as u64);
@@ -572,34 +536,16 @@ fn record_scorecard(m: &mut pdgc_obs::MetricsRegistry, stats: &AllocStats) {
     m.observe_value(ValueHist::SpillsPerFunc, stats.spill_instructions as u64);
 }
 
-/// [`run_pipeline_scratch`] followed by [`check_output_metered`]: the
-/// pooled, metered pipeline plus the symbolic checker, in one call. Every
-/// allocator's `allocate_scratch` routes through here so batch workers
-/// share one code path (and one metrics contract) regardless of strategy.
+/// Runs the symbolic checker over a finished allocation, honoring `mode`
+/// and `scope`, with the checker's working state drawn from `scratch`.
 ///
-/// # Errors
+/// The run lands in the always-on metrics: a [`Phase::Check`] span, runs
+/// by scope, the proof's coverage (blocks/instructions/pairs, from the
+/// [`CheckReport`]), and violation counts on rejection. On rejection an
+/// enabled tracer also receives an [`Event::CheckFailed`] carrying every
+/// violation, so `--trace` artifacts capture exactly what was wrong.
 ///
-/// Same as [`run_pipeline_scratch`], plus [`AllocError::CheckFailed`]
-/// when the checker finds a violation.
-pub fn run_pipeline_scratch_checked(
-    func: &Function,
-    target: &TargetDesc,
-    strategy: &dyn ClassStrategy,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-    scope: CheckScope,
-    scratch: &mut PhaseScratch,
-) -> Result<AllocOutput, AllocError> {
-    let out = run_pipeline_scratch(func, target, strategy, tracer, scratch)?;
-    check_output_metered(&out, target, tracer, mode, scope, scratch)?;
-    Ok(out)
-}
-
-/// Runs the symbolic checker over a finished allocation, honoring `mode`.
-///
-/// Emits a [`Phase::Check`] span and, on rejection, an
-/// [`Event::CheckFailed`] carrying every violation, so `--trace` artifacts
-/// capture exactly what was wrong.
+/// [`CheckReport`]: pdgc_check::CheckReport
 ///
 /// # Errors
 ///
@@ -609,89 +555,23 @@ pub fn check_output(
     target: &TargetDesc,
     tracer: &mut dyn Tracer,
     mode: CheckMode,
-) -> Result<(), AllocError> {
-    check_output_in(
-        out,
-        target,
-        tracer,
-        mode,
-        CheckScope::Full,
-        &mut CheckScratch::default(),
-    )
-}
-
-/// [`check_output`] with an explicit [`CheckScope`] and pooled checker
-/// scratch. Batch drivers pass [`CheckScope::Rewritten`] so
-/// re-verification pays per rewrite instead of per function; the `Full`
-/// scope with a fresh scratch is exactly [`check_output`].
-///
-/// # Errors
-///
-/// [`AllocError::CheckFailed`] when the checker finds a violation.
-pub fn check_output_in(
-    out: &AllocOutput,
-    target: &TargetDesc,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
-    scope: CheckScope,
-    scratch: &mut CheckScratch,
-) -> Result<(), AllocError> {
-    if !mode.should_check() {
-        return Ok(());
-    }
-    let round = out.stats.rounds as u32;
-    let result = with_span(tracer, Phase::Check, round, None, || {
-        check_allocation_in(&out.lowered, &out.assignment, &out.mach, target, scope, scratch)
-    });
-    match result {
-        Ok(_) => Ok(()),
-        Err(e) => {
-            if tracer.enabled() {
-                tracer.record(&Event::CheckFailed {
-                    func: e.func.clone(),
-                    violations: e.violations.iter().map(|v| v.to_string()).collect(),
-                });
-            }
-            Err(AllocError::CheckFailed(e))
-        }
-    }
-}
-
-/// [`check_output_in`] against a full [`PhaseScratch`], with the run
-/// recorded in the always-on metrics: check latency, runs by scope, the
-/// proof's coverage (blocks/instructions/pairs, from the [`CheckReport`]
-/// that [`check_output_in`] discards), and violation counts on rejection.
-///
-/// [`CheckReport`]: pdgc_check::CheckReport
-///
-/// # Errors
-///
-/// [`AllocError::CheckFailed`] when the checker finds a violation.
-pub fn check_output_metered(
-    out: &AllocOutput,
-    target: &TargetDesc,
-    tracer: &mut dyn Tracer,
-    mode: CheckMode,
     scope: CheckScope,
     scratch: &mut PhaseScratch,
 ) -> Result<(), AllocError> {
     if !mode.should_check() {
         return Ok(());
     }
-    let round = out.stats.rounds as u32;
-    let t0 = Instant::now();
-    let result = with_span(tracer, Phase::Check, round, None, || {
-        check_allocation_in(
-            &out.lowered,
-            &out.assignment,
-            &out.mach,
-            target,
-            scope,
-            &mut scratch.check,
-        )
-    });
+    let span = PhaseSpan::start(Phase::Check, out.stats.rounds as u32, None);
+    let result = check_allocation_in(
+        &out.lowered,
+        &out.assignment,
+        &out.mach,
+        target,
+        scope,
+        &mut scratch.check,
+    );
     let m = &mut scratch.metrics;
-    m.observe_latency(Phase::Check, t0.elapsed().as_nanos() as u64);
+    span.finish(m, tracer);
     m.bump(Counter::CheckRuns);
     m.bump(match scope {
         CheckScope::Full => Counter::CheckScopeFull,
@@ -734,9 +614,7 @@ mod tests {
             target: &TargetDesc,
             _tracer: &mut dyn Tracer,
         ) -> RoundOutcome {
-            use crate::baselines::aggressive_coalesce;
             use crate::simplify::{simplify, SimplifyMode};
-            let _ = aggressive_coalesce; // (not used: no coalescing)
             let sr = simplify(&mut ctx.ifg, ctx.k, &ctx.spill_costs, SimplifyMode::Optimistic);
             ctx.ifg.restore_all();
             let (assignment, spilled) = crate::baselines::color_stack(
@@ -753,7 +631,20 @@ mod tests {
             RoundOutcome { assignment, spilled }
         }
     }
-    use Plain as Greedy;
+
+    fn run(f: &Function, target: &TargetDesc) -> AllocOutput {
+        let mut scratch = PhaseScratch::default();
+        run_pipeline(
+            f,
+            target,
+            &Plain,
+            &mut pdgc_obs::NoopTracer,
+            CheckMode::Off,
+            CheckScope::Full,
+            &mut scratch,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn pipeline_allocates_simple_function() {
@@ -764,7 +655,7 @@ mod tests {
         b.ret(Some(x));
         let f = b.finish();
         let target = TargetDesc::ia64_like(pdgc_target::PressureModel::High);
-        let out = run_pipeline(&f, &target, &Greedy).unwrap();
+        let out = run(&f, &target);
         assert_eq!(out.stats.rounds, 1);
         assert_eq!(out.stats.spill_instructions, 0);
         assert!(out.mach.num_insts() > 0);
@@ -784,7 +675,7 @@ mod tests {
         b.ret(Some(acc));
         let f = b.finish();
         let target = TargetDesc::toy(3);
-        let out = run_pipeline(&f, &target, &Greedy).unwrap();
+        let out = run(&f, &target);
         assert!(out.stats.rounds > 1);
         assert!(out.stats.spill_instructions > 0);
         // Final code verifies and all vregs of the final IR got registers

@@ -4,7 +4,7 @@
 //! liveness sets, the IFG bit matrix and adjacency pools, node-universe
 //! storage, simplify/select working sets, and the checker's internals. A
 //! batch worker allocates one per thread, threads it through
-//! [`crate::pipeline::run_pipeline_scratch`] for every function it
+//! [`crate::pipeline::run_pipeline`] for every function it
 //! processes, and after the first few functions warm the pools up the
 //! steady state performs (near) zero heap allocation per function.
 //!

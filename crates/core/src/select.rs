@@ -23,8 +23,7 @@ use crate::node::{NodeId, NodeMap};
 use crate::rpg::{PrefKind, PrefTarget, Preference, Rpg};
 use pdgc_arena::{NestedPool, VecPool};
 use pdgc_obs::{
-    Considered, Counter, Decision, Event, MetricsRegistry, NoopTracer, SpillReason, Tracer,
-    ValueHist, Verdict,
+    Considered, Counter, Decision, Event, MetricsRegistry, SpillReason, Tracer, ValueHist, Verdict,
 };
 use pdgc_target::{PhysReg, TargetDesc};
 
@@ -108,74 +107,23 @@ impl SelectResult {
     }
 }
 
-/// Runs preference-directed selection over one class.
+/// Runs preference-directed selection over one class, drawing every
+/// per-select vector — the reverse preference index, assignment,
+/// differential caches, and occupancy buffers — from pooled scratch.
+/// Recycle the result with [`SelectResult::recycle`].
 ///
 /// `no_spill[n]` marks spill temporaries that must receive registers.
+/// An enabled `tracer` receives one [`Decision`] event per node resolved:
+/// the ready-frontier size, the strength differential, every preference
+/// screened with its strength, and the verdict (register or spill with
+/// its cost). `spill_costs` (per node, `u64::MAX` = unspillable) only
+/// feeds the spill verdicts in the trace; pass `&[]` when untraced.
+/// `round` labels the events with the pipeline's spill round.
 ///
 /// # Panics
 ///
 /// Panics if the CPG is cyclic (cannot happen for graphs built by
 /// [`Cpg::build`]).
-pub fn select(
-    ifg: &InterferenceGraph,
-    nodes: &NodeMap,
-    rpg: &Rpg,
-    cpg: &Cpg,
-    target: &TargetDesc,
-    no_spill: &[bool],
-    config: SelectConfig,
-) -> SelectResult {
-    select_traced(ifg, nodes, rpg, cpg, target, no_spill, &[], config, 1, &mut NoopTracer)
-}
-
-/// [`select`] with an attached [`Tracer`]: emits one [`Decision`] event
-/// per node resolved — the ready-frontier size, the strength differential,
-/// every preference screened with its strength, and the verdict (register
-/// or spill with its cost).
-///
-/// `spill_costs` (per node, `u64::MAX` = unspillable) only feeds the spill
-/// verdicts in the trace; pass `&[]` when untraced. `round` labels the
-/// events with the pipeline's spill round.
-///
-/// # Panics
-///
-/// Same as [`select`].
-#[allow(clippy::too_many_arguments)]
-pub fn select_traced(
-    ifg: &InterferenceGraph,
-    nodes: &NodeMap,
-    rpg: &Rpg,
-    cpg: &Cpg,
-    target: &TargetDesc,
-    no_spill: &[bool],
-    spill_costs: &[u64],
-    config: SelectConfig,
-    round: u32,
-    tracer: &mut dyn Tracer,
-) -> SelectResult {
-    select_traced_in(
-        ifg,
-        nodes,
-        rpg,
-        cpg,
-        target,
-        no_spill,
-        spill_costs,
-        config,
-        round,
-        tracer,
-        &mut SelectScratch::default(),
-    )
-}
-
-/// [`select_traced`] drawing every per-select vector — the reverse
-/// preference index, assignment, differential caches, and occupancy
-/// buffers — from pooled scratch. Recycle the result with
-/// [`SelectResult::recycle`].
-///
-/// # Panics
-///
-/// Same as [`select`].
 #[allow(clippy::too_many_arguments)]
 pub fn select_traced_in(
     ifg: &InterferenceGraph,
@@ -859,6 +807,7 @@ mod tests {
     use super::*;
     use crate::simplify::{simplify, SimplifyMode};
     use pdgc_ir::RegClass;
+    use pdgc_obs::NoopTracer;
     use pdgc_target::TargetDesc;
 
     fn n(i: usize) -> NodeId {
@@ -905,7 +854,19 @@ mod tests {
         g.restore_all();
         let cpg = Cpg::build(g, &sr.stack, &sr.optimistic, 3);
         let no_spill = vec![false; nm.num_nodes()];
-        select(g, nm, rpg, &cpg, &target, &no_spill, config)
+        select_traced_in(
+            g,
+            nm,
+            rpg,
+            &cpg,
+            &target,
+            &no_spill,
+            &[],
+            config,
+            1,
+            &mut NoopTracer,
+            &mut SelectScratch::default(),
+        )
     }
 
     #[test]

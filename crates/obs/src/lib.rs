@@ -18,11 +18,12 @@
 //!
 //! Consumers implement [`Tracer`]; the provided sinks serialize to JSON
 //! Lines ([`JsonLinesSink`]), a human-readable log ([`PrettySink`]), DOT
-//! files ([`DotDirSink`]), an in-memory event list ([`RecordingTracer`]),
-//! or a per-phase time accumulator ([`PhaseTimes`]). [`NoopTracer`] is the
-//! zero-cost default: its `enabled()` returns `false`, and every emit site
-//! in the allocator checks that flag before constructing an event, so the
-//! untraced hot path performs no allocation and no I/O.
+//! files ([`DotDirSink`]), or an in-memory event list
+//! ([`RecordingTracer`]), and [`FanoutTracer`] feeds several at once.
+//! [`NoopTracer`] is the zero-cost default: its `enabled()` returns
+//! `false`, and every emit site in the allocator checks that flag before
+//! constructing an event, so the untraced hot path performs no allocation
+//! and no I/O.
 //!
 //! Alongside the opt-in event stream sits the **always-on metrics layer**
 //! ([`metrics::MetricsRegistry`]): fixed-size counter arrays and log₂
@@ -30,6 +31,13 @@
 //! deterministically across batch workers, and serialize to the
 //! `results/metrics.json` snapshots the `pdgc report` regression gate
 //! diffs. See the [`metrics`] module docs for the merge contract.
+//!
+//! Every phase has **one clock**: a [`PhaseSpan`] reads the time once at
+//! start and once at finish, records the duration into the registry's
+//! per-phase latency histogram, and hands the *same* nanoseconds to the
+//! tracer as an [`Event::Span`] when one is enabled. Per-phase wall-clock
+//! anywhere in the project (`phases_ms` in the bench results, the
+//! `latency_hists` of a metrics snapshot) is a registry latency sum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +47,7 @@ pub mod metrics;
 mod sinks;
 
 pub use metrics::{Counter, Histogram, MetricsRegistry, ValueHist};
-pub use sinks::{
-    event_json, DotDirSink, FanoutTracer, JsonLinesSink, PhaseTimes, PrettySink, RecordingTracer,
-};
+pub use sinks::{event_json, DotDirSink, FanoutTracer, JsonLinesSink, PrettySink, RecordingTracer};
 
 use pdgc_ir::RegClass;
 use pdgc_target::PhysReg;
@@ -297,27 +303,54 @@ pub struct NoopTracer;
 
 impl Tracer for NoopTracer {}
 
-/// Runs `f`, emitting a [`Event::Span`] for it when `tracer` is enabled.
-/// When disabled this is exactly `f()` — no clock reads, no allocation.
-pub fn with_span<T>(
-    tracer: &mut dyn Tracer,
+/// A running phase: the one clock every pipeline phase is timed by.
+///
+/// [`PhaseSpan::start`] reads the clock; [`PhaseSpan::finish`] reads it
+/// again, records the elapsed nanoseconds into `metrics` (always), and
+/// emits an [`Event::Span`] carrying the same value (only when the tracer
+/// is enabled). The registry's latency sum for a phase therefore equals
+/// the sum of that phase's traced spans, to the nanosecond.
+///
+/// A guard rather than a closure wrapper, so the timed code may freely
+/// borrow the scratch that owns `metrics` and the tracer itself (select
+/// emits decisions from inside its span).
+#[must_use = "a span records nothing until `finish` is called"]
+#[derive(Debug)]
+pub struct PhaseSpan {
     phase: Phase,
     round: u32,
     class: Option<RegClass>,
-    f: impl FnOnce() -> T,
-) -> T {
-    if !tracer.enabled() {
-        return f();
+    start: Instant,
+}
+
+impl PhaseSpan {
+    /// Starts timing `phase` of spill `round` (0 for lowering), for
+    /// `class` when the phase runs per register class.
+    #[inline]
+    pub fn start(phase: Phase, round: u32, class: Option<RegClass>) -> Self {
+        PhaseSpan {
+            phase,
+            round,
+            class,
+            start: Instant::now(),
+        }
     }
-    let start = Instant::now();
-    let out = f();
-    tracer.record(&Event::Span {
-        phase,
-        round,
-        class,
-        nanos: start.elapsed().as_nanos(),
-    });
-    out
+
+    /// Stops the clock, records the duration into `metrics`, and emits it
+    /// to `tracer` when enabled.
+    #[inline]
+    pub fn finish(self, metrics: &mut MetricsRegistry, tracer: &mut dyn Tracer) {
+        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        metrics.observe_latency(self.phase, nanos);
+        if tracer.enabled() {
+            tracer.record(&Event::Span {
+                phase: self.phase,
+                round: self.round,
+                class: self.class,
+                nanos: u128::from(nanos),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -332,22 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn with_span_skips_events_when_disabled() {
+    fn phase_span_feeds_the_registry_and_an_enabled_tracer_alike() {
+        let mut m = MetricsRegistry::default();
         let mut t = RecordingTracer::default();
         t.set_enabled(false);
-        let v = with_span(&mut t, Phase::Select, 1, None, || 42);
-        assert_eq!(v, 42);
+        PhaseSpan::start(Phase::Select, 1, None).finish(&mut m, &mut t);
         assert!(t.events().is_empty());
+        assert_eq!(m.latency_hist(Phase::Select).count, 1);
         t.set_enabled(true);
-        with_span(&mut t, Phase::Select, 2, Some(RegClass::Int), || ());
-        assert_eq!(t.events().len(), 1);
-        match &t.events()[0] {
-            Event::Span { phase, round, class, .. } => {
+        PhaseSpan::start(Phase::Select, 2, Some(RegClass::Int)).finish(&mut m, &mut t);
+        assert_eq!(m.latency_hist(Phase::Select).count, 2);
+        match t.events() {
+            [Event::Span { phase, round, class, nanos }] => {
                 assert_eq!(*phase, Phase::Select);
                 assert_eq!(*round, 2);
                 assert_eq!(*class, Some(RegClass::Int));
+                assert!(*nanos <= u128::from(m.latency_hist(Phase::Select).sum));
             }
-            other => panic!("unexpected event {other:?}"),
+            other => panic!("unexpected events {other:?}"),
         }
     }
 

@@ -503,6 +503,16 @@ impl MetricsRegistry {
         o.finish()
     }
 
+    /// `{"lower": <ms>, ...}`: each phase's latency sum in fractional
+    /// milliseconds — the `phases_ms` object of the bench results.
+    pub fn phases_ms_json(&self) -> String {
+        let mut o = JsonObject::new();
+        for p in Phase::ALL {
+            o = o.f64(p.as_str(), self.latency_hist(p).sum as f64 / 1e6);
+        }
+        o.finish()
+    }
+
     /// The whole registry as a JSON object with the deterministic
     /// sections (`counters`, `scorecard_hists`) separated from the
     /// nondeterministic one (`latency_hists`).
@@ -622,6 +632,16 @@ mod tests {
             parsed["counters"]["moves_eliminated"].as_u64(),
             Some(12)
         );
+    }
+
+    #[test]
+    fn phases_ms_are_latency_sums_in_millis() {
+        let mut m = MetricsRegistry::new();
+        m.observe_latency(Phase::Select, 1_500_000);
+        m.observe_latency(Phase::Select, 500_000);
+        let parsed = crate::json::Json::parse(&m.phases_ms_json()).expect("valid json");
+        assert_eq!(parsed["select"].as_f64(), Some(2.0));
+        assert_eq!(parsed["check"].as_f64(), Some(0.0));
     }
 
     #[test]

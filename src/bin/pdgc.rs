@@ -260,11 +260,9 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
 
 /// Builds the tracer requested on the command line: a JSONL sink for
 /// `--trace`, a DOT-dump sink for `--dump-graphs`, fanned out when both
-/// are given. `None` when tracing was not requested.
-fn build_tracer(o: &Options) -> Result<Option<FanoutTracer>, String> {
-    if o.trace.is_none() && o.dump_graphs.is_none() {
-        return Ok(None);
-    }
+/// are given. With neither, the fan-out is empty and so disabled, like
+/// `NoopTracer`.
+fn build_tracer(o: &Options) -> Result<FanoutTracer, String> {
     let mut fan = FanoutTracer::new();
     if let Some(path) = &o.trace {
         let file =
@@ -275,7 +273,7 @@ fn build_tracer(o: &Options) -> Result<Option<FanoutTracer>, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         fan.push(Box::new(DotDirSink::new(dir)));
     }
-    Ok(Some(fan))
+    Ok(fan)
 }
 
 fn allocate_maybe_traced(
@@ -288,14 +286,9 @@ fn allocate_maybe_traced(
     // single-function CLI keeps the checker's full-replay scope.
     let mut scratch = pdgc::core::PhaseScratch::new();
     let scope = pdgc::core::CheckScope::Full;
-    let out = match build_tracer(o)? {
-        Some(mut tracer) => alloc
-            .allocate_scratch(func, target, &mut tracer, o.check, scope, &mut scratch)
-            .map_err(|e| e.to_string())?,
-        None => alloc
-            .allocate_scratch(func, target, &mut NoopTracer, o.check, scope, &mut scratch)
-            .map_err(|e| e.to_string())?,
-    };
+    let out = alloc
+        .allocate_scratch(func, target, &mut build_tracer(o)?, o.check, scope, &mut scratch)
+        .map_err(|e| e.to_string())?;
     if o.check.should_check() {
         eprintln!("symbolic check passed ({} mode)", o.check);
     }
@@ -405,7 +398,7 @@ fn cmd_bench_batch(o: &Options) -> Result<(), String> {
         o.allocator, target.name
     );
     let cmp =
-        pdgc_bench::batch::compare_jobs_checked(alloc.as_ref(), &workloads, &target, jobs, 1, o.check);
+        pdgc_bench::batch::compare_jobs(alloc.as_ref(), &workloads, &target, jobs, 1, o.check);
     if o.check.should_check() {
         println!("symbolic check: every allocation of both runs proven ({} mode)", o.check);
     }

@@ -78,8 +78,8 @@ pub mod prelude {
     };
     pub use pdgc_ir::{BinOp, Block, CmpOp, Function, FunctionBuilder, RegClass, VReg};
     pub use pdgc_obs::{
-        DotDirSink, Event, FanoutTracer, JsonLinesSink, NoopTracer, Phase, PhaseTimes,
-        PrettySink, RecordingTracer, Tracer,
+        DotDirSink, Event, FanoutTracer, JsonLinesSink, NoopTracer, Phase, PrettySink,
+        RecordingTracer, Tracer,
     };
     pub use pdgc_sim::{check_equivalent, run_ir, run_mach, DEFAULT_FUEL};
     pub use pdgc_target::{

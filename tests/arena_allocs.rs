@@ -129,8 +129,18 @@ fn pooled_pipeline_allocates_a_fraction_of_the_unpooled_one() {
     let warm = run_pooled(&mut scratch, &mut tracer);
 
     let (pooled, pooled_out) = count_allocs(|| run_pooled(&mut scratch, &mut tracer));
-    let (fresh, fresh_out) =
-        count_allocs(|| alloc.allocate_traced(&func, &target, &mut tracer).unwrap());
+    let (fresh, fresh_out) = count_allocs(|| {
+        alloc
+            .allocate_scratch(
+                &func,
+                &target,
+                &mut tracer,
+                CheckMode::Off,
+                CheckScope::Full,
+                &mut PhaseScratch::default(),
+            )
+            .unwrap()
+    });
 
     // Pooling must not change the allocation: same stats, same rewrite.
     assert_eq!(warm.stats, fresh_out.stats);

@@ -75,7 +75,14 @@ fn has_path_unwritten_reload(func: &Function) -> bool {
 fn prove_all_allocators(func: &Function, target: &TargetDesc) -> Result<(), TestCaseError> {
     for alloc in pdgc::all_allocators() {
         let out = alloc
-            .allocate_checked(func, target, &mut NoopTracer, CheckMode::Always)
+            .allocate_scratch(
+                func,
+                target,
+                &mut NoopTracer,
+                CheckMode::Always,
+                CheckScope::Full,
+                &mut PhaseScratch::default(),
+            )
             .map_err(|e| {
                 TestCaseError::fail(format!(
                     "{} on {} ({}): {e}",
@@ -87,7 +94,7 @@ fn prove_all_allocators(func: &Function, target: &TargetDesc) -> Result<(), Test
         // The checker's report is consistent with the statistics the
         // rewrite pass published.
         let report = check_allocation(&out.lowered, &out.assignment, &out.mach, target)
-            .expect("allocate_checked already proved this allocation");
+            .expect("allocate_scratch already proved this allocation");
         prop_assert_eq!(report.paired_loads, out.stats.paired_loads as usize);
         prop_assert_eq!(report.blocks, out.mach.blocks.len());
     }
@@ -152,7 +159,14 @@ fn jack_zero_trip_loop_is_provable() {
     let func = &w.funcs[0];
     let target = TargetDesc::ia64_like(PressureModel::High);
     let out = PreferenceAllocator::full()
-        .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+        .allocate_scratch(
+            func,
+            &target,
+            &mut NoopTracer,
+            CheckMode::Always,
+            CheckScope::Full,
+            &mut PhaseScratch::default(),
+        )
         .expect("the zero-trip-loop allocation is correct and must be provable");
     // The counterexample shape is still present — if workload generation
     // changes and this stops holding, the pin needs a new specimen.

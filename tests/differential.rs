@@ -61,7 +61,14 @@ fn check_allocator_with(alloc: &dyn RegisterAllocator, pressure: PressureModel, 
             let reference = reference_for(wi, fi);
             let case_started = Instant::now();
             let out = alloc
-                .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+                .allocate_scratch(
+                    func,
+                    &target,
+                    &mut NoopTracer,
+                    CheckMode::Always,
+                    CheckScope::Full,
+                    &mut PhaseScratch::default(),
+                )
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", alloc.name(), func.name));
             let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap_or_else(|e| {
                 panic!("{} on {}: machine run failed: {e}", alloc.name(), func.name)
@@ -109,7 +116,14 @@ fn check_allocator_tiny(alloc: &dyn RegisterAllocator) {
         let args = default_args(func);
         let reference = reference_for(wi, fi);
         let out = alloc
-            .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+            .allocate_scratch(
+                func,
+                &target,
+                &mut NoopTracer,
+                CheckMode::Always,
+                CheckScope::Full,
+                &mut PhaseScratch::default(),
+            )
             .unwrap_or_else(|e| panic!("{} on {}: {e}", alloc.name(), func.name));
         assert!(out.stats.spill_instructions > 0, "toy(8) must force spills");
         let mach = run_mach(&out.mach, &target, &args, DEFAULT_FUEL).unwrap();

@@ -130,7 +130,14 @@ proptest! {
         for func in &generate(&prof).funcs {
             prop_assume!(func.verify().is_ok());
             let out = alloc
-                .allocate_checked(func, &target, &mut NoopTracer, CheckMode::Always)
+                .allocate_scratch(
+                    func,
+                    &target,
+                    &mut NoopTracer,
+                    CheckMode::Always,
+                    CheckScope::Full,
+                    &mut PhaseScratch::default(),
+                )
                 .map_err(|e| TestCaseError::fail(format!(
                     "{} on {} ({name}): {e}", alloc.name(), func.name
                 )))?;

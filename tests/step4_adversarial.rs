@@ -1,7 +1,7 @@
 //! Adversarial exercises of §5.3 step 4 — the strength-ordered screening
 //! that resolves competing preferences — on the same-parity and
 //! argument-home mixes ROADMAP's audit note asks about. Each scenario
-//! runs `select_traced` with a [`RecordingTracer`] and asserts on the
+//! runs `select_traced_in` with a [`RecordingTracer`] and asserts on the
 //! *trace*: the `considered` list of every decision is the screening
 //! order, so the tests check not just the final assignment but that the
 //! right preference won for the right reason.
@@ -13,7 +13,7 @@ use pdgc::core::cpg::Cpg;
 use pdgc::core::ifg::InterferenceGraph;
 use pdgc::core::node::{NodeId, NodeMap};
 use pdgc::core::rpg::{PrefKind, PrefTarget, Preference, Rpg};
-use pdgc::core::select::{select_traced, SelectConfig, SelectResult};
+use pdgc::core::select::{select_traced_in, SelectConfig, SelectResult, SelectScratch};
 use pdgc::obs::Decision;
 use pdgc::prelude::*;
 
@@ -57,7 +57,7 @@ fn run(
     let cpg = Cpg::build(g, &sr.stack, &sr.optimistic, k);
     let no_spill = vec![false; nm.num_nodes()];
     let mut rec = RecordingTracer::default();
-    let r = select_traced(
+    let r = select_traced_in(
         g,
         nm,
         rpg,
@@ -68,6 +68,7 @@ fn run(
         SelectConfig::default(),
         1,
         &mut rec,
+        &mut SelectScratch::default(),
     );
     (r, rec.decisions().into_iter().cloned().collect())
 }
@@ -342,7 +343,14 @@ fn full_allocator_traces_stay_strength_sorted_on_arg_homed_pair() {
     let target = TargetDesc::toy(4);
     let mut rec = RecordingTracer::default();
     let out = PreferenceAllocator::full()
-        .allocate_traced(&func, &target, &mut rec)
+        .allocate_scratch(
+            &func,
+            &target,
+            &mut rec,
+            CheckMode::Off,
+            CheckScope::Full,
+            &mut PhaseScratch::default(),
+        )
         .unwrap();
     assert_eq!(out.stats.spill_instructions, 0);
 

@@ -41,7 +41,14 @@ fn check_differential(target: &TargetDesc) {
                 .unwrap_or_else(|e| panic!("{}: reference failed: {e}", func.name));
             for alloc in &allocators {
                 let out = alloc
-                    .allocate_checked(func, target, &mut NoopTracer, CheckMode::Always)
+                    .allocate_scratch(
+                        func,
+                        target,
+                        &mut NoopTracer,
+                        CheckMode::Always,
+                        CheckScope::Full,
+                        &mut PhaseScratch::default(),
+                    )
                     .unwrap_or_else(|e| {
                         panic!("{} on {} ({}): {e}", alloc.name(), func.name, target.name)
                     });
@@ -73,7 +80,7 @@ fn check_batch_determinism(target: &TargetDesc) {
     let alloc = PreferenceAllocator::full();
     let workloads = workloads_for(target);
     let cmp =
-        pdgc_bench::batch::compare_jobs_checked(&alloc, &workloads, target, 3, 1, CheckMode::Always);
+        pdgc_bench::batch::compare_jobs(&alloc, &workloads, target, 3, 1, CheckMode::Always);
     assert!(
         cmp.identical(),
         "parallel batch allocation diverged from serial on {}",

@@ -39,7 +39,14 @@ fn traced_run() -> (pdgc::core::AllocOutput, RecordingTracer) {
     let target = TargetDesc::figure7();
     let mut rec = RecordingTracer::default();
     let out = PreferenceAllocator::full()
-        .allocate_traced(&func, &target, &mut rec)
+        .allocate_scratch(
+            &func,
+            &target,
+            &mut rec,
+            CheckMode::Off,
+            CheckScope::Full,
+            &mut PhaseScratch::default(),
+        )
         .unwrap();
     (out, rec)
 }
@@ -120,7 +127,14 @@ fn json_sink_emits_one_line_per_event() {
     let target = TargetDesc::figure7();
     let mut sink = JsonLinesSink::new(Vec::new());
     PreferenceAllocator::full()
-        .allocate_traced(&func, &target, &mut sink)
+        .allocate_scratch(
+            &func,
+            &target,
+            &mut sink,
+            CheckMode::Off,
+            CheckScope::Full,
+            &mut PhaseScratch::default(),
+        )
         .unwrap();
     let text = String::from_utf8(sink.into_inner()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
@@ -186,7 +200,14 @@ fn graph_dumps_fire_only_when_requested() {
     let func = figure7_func();
     let mut g = GraphsOnly(Vec::new());
     PreferenceAllocator::full()
-        .allocate_traced(&func, &TargetDesc::figure7(), &mut g)
+        .allocate_scratch(
+            &func,
+            &TargetDesc::figure7(),
+            &mut g,
+            CheckMode::Off,
+            CheckScope::Full,
+            &mut PhaseScratch::default(),
+        )
         .unwrap();
     // One IFG/RPG/CPG triple per class per round: two classes, one round.
     let kinds: Vec<pdgc::obs::GraphKind> = g.0.iter().map(|(k, _)| *k).collect();
