@@ -16,6 +16,33 @@
 //!
 //! Spill decisions, coalescing (same-register selection), and every
 //! preference type are thereby resolved simultaneously.
+//!
+//! # Register sets are `u64` masks
+//!
+//! A class has at most [`MAX_REGS`] = 64 registers, so every register set
+//! here is one word: bit `i` is register `i` of the class. Each node keeps
+//! an *occupancy mask* — the registers held by its assigned interference
+//! neighbours — seeded once from the precolored nodes and updated per
+//! edge when a node is assigned, so a node's available set is
+//! `file & !occ[n]`. Each preference maps to an *admit mask* (the
+//! registers that would honor it under the current assignments), and
+//! steps 2–4 are mask intersections: narrowing is `&`, a screen's strength
+//! is the larger of its volatile and non-volatile strengths over the
+//! volatility classes present, and step 4.4 picks the lowest set bit.
+//!
+//! # The frontier is a lazy max-heap
+//!
+//! Step 3's differential of a node changes only when its occupancy mask
+//! gains a bit or one of its preference partners is assigned. After each
+//! assignment exactly those frontier nodes are recomputed and re-pushed
+//! into a max-heap keyed by (differential, lowest id); a popped entry whose
+//! node has left the frontier or whose value is no longer the node's
+//! current differential is stale and skipped. The pop therefore picks the
+//! same node a full frontier scan would: the largest differential, lowest
+//! node id on ties.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::cpg::Cpg;
 use crate::ifg::InterferenceGraph;
@@ -25,30 +52,33 @@ use pdgc_arena::{NestedPool, VecPool};
 use pdgc_obs::{
     Considered, Counter, Decision, Event, MetricsRegistry, SpillReason, Tracer, ValueHist, Verdict,
 };
-use pdgc_target::{PhysReg, TargetDesc};
+use pdgc_target::{PhysReg, TargetDesc, MAX_REGS};
 
 /// Resettable scratch for [`select_traced_in`]: the reverse-preference
-/// index, the differential caches, and the per-select working vectors.
+/// index, the per-node occupancy masks and cached differentials, the
+/// frontier heap, and the result vectors handed back by
+/// [`SelectResult::recycle`]. A warm scratch makes an untraced select
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
     rev_pref: NestedPool<NodeId>,
     assignments: VecPool<Option<PhysReg>>,
     bools: VecPool<bool>,
     diffs: VecPool<i64>,
+    masks: VecPool<u64>,
     counts: VecPool<usize>,
     nodes: VecPool<NodeId>,
-    /// Pool for candidate-register sets: the available set, per-preference
-    /// honoring sets, narrowed candidate sets, and partner-blocked sets.
-    phys: VecPool<PhysReg>,
+    /// The lazy step-3 frontier: (differential, `Reverse(node id)`).
+    heap: BinaryHeap<(i64, Reverse<u32>)>,
+    /// Frontier nodes whose differential an assignment may have changed.
+    dirty: Vec<NodeId>,
     /// Reused per-node screening list (honorable + deferred preferences).
     screens: Vec<ScreenEntry>,
-    /// Register-occupancy buffer threaded into the selector's
-    /// differential scan (the `select.rs` take/restore audit target).
-    used: Vec<bool>,
     /// Always-on screening-outcome counters (honored/deferred/skipped by
-    /// preference kind, spill reasons, strength distribution) plus the
-    /// strategy's per-class phase latencies. The pipeline drains this
-    /// into the worker's `PhaseScratch` registry after every class.
+    /// preference kind, spill reasons, strength distribution, differential
+    /// recomputes, frontier width) plus the strategy's per-class phase
+    /// latencies. The pipeline drains this into the worker's
+    /// `PhaseScratch` registry after every class.
     pub metrics: MetricsRegistry,
 }
 
@@ -56,13 +86,6 @@ impl SelectScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Capacity of the pooled differential-occupancy buffer (diagnostic;
-    /// the take/restore regression test asserts it survives the
-    /// no-register-available early return).
-    pub fn used_capacity(&self) -> usize {
-        self.used.capacity()
     }
 }
 
@@ -109,8 +132,8 @@ impl SelectResult {
 
 /// Runs preference-directed selection over one class, drawing every
 /// per-select vector — the reverse preference index, assignment,
-/// differential caches, and occupancy buffers — from pooled scratch.
-/// Recycle the result with [`SelectResult::recycle`].
+/// occupancy masks, differential cache, and frontier heap — from pooled
+/// scratch. Recycle the result with [`SelectResult::recycle`].
 ///
 /// `no_spill[n]` marks spill temporaries that must receive registers.
 /// An enabled `tracer` receives one [`Decision`] event per node resolved:
@@ -138,41 +161,85 @@ pub fn select_traced_in(
     tracer: &mut dyn Tracer,
     scratch: &mut SelectScratch,
 ) -> SelectResult {
+    let num_nodes = nodes.num_nodes();
+    let class = nodes.class();
     // Reverse preference index: rev_pref[m] holds the nodes with a
     // preference targeting (the representative of) m. Assigning m makes
     // exactly those nodes' differentials stale.
-    let mut rev_pref = scratch.rev_pref.take(nodes.num_nodes());
-    for i in 0..nodes.num_nodes() {
+    let mut rev_pref = scratch.rev_pref.take(num_nodes);
+    let mut any_sequential = false;
+    for i in 0..num_nodes {
         let holder = NodeId::new(i);
         for pref in rpg.prefs(holder) {
             if let PrefTarget::Node(m) = pref.target {
                 rev_pref[ifg.rep(m).index()].push(holder);
             }
+            any_sequential |= matches!(
+                pref.kind,
+                PrefKind::SequentialPlus | PrefKind::SequentialMinus
+            );
         }
     }
     let mut assignment = scratch.assignments.take();
-    assignment.extend((0..nodes.num_nodes()).map(|i| {
+    assignment.extend((0..num_nodes).map(|i| {
         let n = NodeId::new(i);
         nodes.is_precolored(n).then(|| nodes.phys_reg(n))
     }));
+    // Occupancy seeded from the precolored nodes; assignments add to it.
+    let mut occ = scratch.masks.take_filled(num_nodes, 0);
+    for p in (0..nodes.num_phys()).map(NodeId::new) {
+        let bit = 1u64 << nodes.phys_reg(p).index();
+        for &x in ifg.neighbors_slice(p) {
+            occ[x.index()] |= bit;
+        }
+    }
+    let num_regs = target.num_regs(class);
+    debug_assert!(num_regs <= MAX_REGS);
+    let file = u64::MAX.checked_shr(64 - num_regs as u32).unwrap_or(0);
+    let volatile = target
+        .regs(class)
+        .filter(|&r| target.is_volatile(r))
+        .fold(0u64, |m, r| m | 1 << r.index());
+    // Pair masks: `pair_first[a]` holds every `b` with `pair_allows(a, b)`
+    // and `pair_second[b]` every such `a`. Only sequential preferences
+    // read them.
+    let mut pair_first = [0u64; MAX_REGS];
+    let mut pair_second = [0u64; MAX_REGS];
+    if any_sequential {
+        for a in target.regs(class) {
+            for b in target.regs(class) {
+                if target.pair_allows(a, b) {
+                    pair_first[a.index()] |= 1 << b.index();
+                    pair_second[b.index()] |= 1 << a.index();
+                }
+            }
+        }
+    }
+    let mut heap = std::mem::take(&mut scratch.heap);
+    heap.clear();
     Selector {
         ifg,
         nodes,
         rpg,
         cpg,
-        target,
         no_spill,
         spill_costs,
         config,
         round,
+        file,
+        volatile,
+        pair_first,
+        pair_second,
         assignment,
-        spilled: scratch.bools.take_filled(nodes.num_nodes(), false),
-        processed: scratch.bools.take_filled(nodes.num_nodes(), false),
+        spilled: scratch.bools.take_filled(num_nodes, false),
+        occ,
         rev_pref,
-        diff_cache: scratch.diffs.take_filled(nodes.num_nodes(), 0),
-        diff_dirty: scratch.bools.take_filled(nodes.num_nodes(), true),
-        used_scratch: std::mem::take(&mut scratch.used),
-        phys: std::mem::take(&mut scratch.phys),
+        diff: scratch.diffs.take_filled(num_nodes, 0),
+        in_queue: scratch.bools.take_filled(num_nodes, false),
+        dirty_flag: scratch.bools.take_filled(num_nodes, false),
+        dirty: std::mem::take(&mut scratch.dirty),
+        heap,
+        live: 0,
         screen_buf: std::mem::take(&mut scratch.screens),
         metrics: std::mem::take(&mut scratch.metrics),
     }
@@ -184,26 +251,38 @@ struct Selector<'a> {
     nodes: &'a NodeMap,
     rpg: &'a Rpg,
     cpg: &'a Cpg,
-    target: &'a TargetDesc,
     no_spill: &'a [bool],
     spill_costs: &'a [u64],
     config: SelectConfig,
     round: u32,
+    /// Every register of the class.
+    file: u64,
+    /// The class's volatile (caller-saved) registers.
+    volatile: u64,
+    /// `pair_first[a]`: registers `b` with `pair_allows(a, b)`.
+    pair_first: [u64; MAX_REGS],
+    /// `pair_second[b]`: registers `a` with `pair_allows(a, b)`.
+    pair_second: [u64; MAX_REGS],
     assignment: Vec<Option<PhysReg>>,
     spilled: Vec<bool>,
-    processed: Vec<bool>,
+    /// `occ[n]`: registers held by `n`'s assigned interference neighbours.
+    occ: Vec<u64>,
     /// `rev_pref[m]`: nodes holding a preference that targets `m`'s
     /// representative.
     rev_pref: Vec<Vec<NodeId>>,
-    /// Cached step-3 strength differential per node; valid while the
-    /// matching `diff_dirty` bit is clear.
-    diff_cache: Vec<i64>,
-    diff_dirty: Vec<bool>,
-    /// Reusable register-occupancy scratch for the differential scan,
-    /// owned by the selector so the frontier loop never allocates.
-    used_scratch: Vec<bool>,
-    /// Pool for the per-node candidate-register vectors.
-    phys: VecPool<PhysReg>,
+    /// Current step-3 differential of every frontier node.
+    diff: Vec<i64>,
+    /// Whether a node is on the ready frontier (released, not yet picked).
+    in_queue: Vec<bool>,
+    /// Dedup flags for `dirty`.
+    dirty_flag: Vec<bool>,
+    /// Frontier nodes to recompute after the current assignment.
+    dirty: Vec<NodeId>,
+    /// Lazy max-heap over (differential, `Reverse(id)`); entries that no
+    /// longer match `diff` or `in_queue` are skipped on pop.
+    heap: BinaryHeap<(i64, Reverse<u32>)>,
+    /// Live frontier size.
+    live: u32,
     /// Reused screening list, cleared between nodes.
     screen_buf: Vec<ScreenEntry>,
     /// Taken from the scratch for the duration of the select, parked back
@@ -220,7 +299,7 @@ struct ScreenEntry {
     strength: i64,
     pref: Preference,
     deferred: bool,
-    regs: Vec<PhysReg>,
+    regs: u64,
 }
 
 /// How one preference screen ended, for the scorecard.
@@ -235,52 +314,63 @@ enum ScreenOutcome {
     Skipped,
 }
 
+/// The registers of `mask` in index order.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let r = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            r
+        })
+    })
+}
+
 impl Selector<'_> {
     fn run(mut self, tracer: &mut dyn Tracer, scratch: &mut SelectScratch) -> SelectResult {
         let mut pred_remaining = scratch.counts.take();
-        pred_remaining.extend((0..self.nodes.num_nodes()).map(|i| self.cpg.preds(NodeId::new(i)).len()));
-        let mut queue = scratch.nodes.take();
-        queue.extend(self.cpg.initial_queue());
-        let total: usize = self.cpg.nodes().count();
-        let mut done = 0;
-
-        while !queue.is_empty() {
-            // Step 3: the frontier node with the largest differential
-            // (lowest node id on ties). Differentials are cached and only
-            // recomputed for nodes an assignment actually invalidated —
-            // an interference neighbor or preference holder of the
-            // assigned node — so a steady-state step touches the scratch
-            // buffers of the few dirty frontier nodes instead of
-            // re-deriving every frontier member from scratch.
-            let mut best: Option<(usize, i64)> = None;
-            for i in 0..queue.len() {
-                let n = queue[i];
-                let d = self.cached_differential(n);
-                let better = match best {
-                    None => true,
-                    Some((bi, bd)) => d > bd || (d == bd && n.index() < queue[bi].index()),
-                };
-                if better {
-                    best = Some((i, d));
-                }
+        pred_remaining
+            .extend((0..self.nodes.num_nodes()).map(|i| self.cpg.preds(NodeId::new(i)).len()));
+        let cpg = self.cpg;
+        let mut total = 0;
+        for n in cpg.nodes() {
+            total += 1;
+            if cpg.preds(n).is_empty() {
+                self.enqueue(n);
             }
-            let (qi, differential) = best.expect("non-empty queue");
-            let frontier = queue.len() as u32;
-            let n = queue.swap_remove(qi);
+        }
+        let mut done = 0;
+        let mut frontier_max = 0;
+
+        while self.live > 0 {
+            // Step 3: the frontier node with the largest differential
+            // (lowest node id on ties), skipping stale heap entries.
+            let (n, differential) = loop {
+                let (d, Reverse(id)) = self.heap.pop().expect("live frontier has a heap entry");
+                let n = NodeId::new(id as usize);
+                if self.in_queue[n.index()] && self.diff[n.index()] == d {
+                    break (n, d);
+                }
+            };
+            let frontier = self.live;
+            frontier_max = frontier_max.max(frontier);
+            self.in_queue[n.index()] = false;
+            self.live -= 1;
 
             self.allocate(n, frontier, differential, tracer);
-            self.processed[n.index()] = true;
             done += 1;
+            self.refresh_dirty();
 
             // Step 5: release successors.
-            for &s in self.cpg.succs(n) {
+            for &s in cpg.succs(n) {
                 pred_remaining[s.index()] -= 1;
                 if pred_remaining[s.index()] == 0 {
-                    queue.push(s);
+                    self.enqueue(s);
                 }
             }
         }
         assert_eq!(done, total, "CPG must drain completely (acyclic)");
+        self.metrics
+            .observe_value(ValueHist::SelectFrontierMax, u64::from(frontier_max));
 
         let mut spilled = scratch.nodes.take();
         spilled.extend(
@@ -291,105 +381,151 @@ impl Selector<'_> {
         // Park every internal buffer back in the scratch before returning:
         // the next select call reuses all of them.
         scratch.counts.put(pred_remaining);
-        scratch.nodes.put(queue);
         scratch.rev_pref.put(self.rev_pref);
         scratch.bools.put(self.spilled);
-        scratch.bools.put(self.processed);
-        scratch.bools.put(self.diff_dirty);
-        scratch.diffs.put(self.diff_cache);
-        scratch.used = std::mem::take(&mut self.used_scratch);
-        scratch.phys = std::mem::take(&mut self.phys);
-        scratch.screens = std::mem::take(&mut self.screen_buf);
-        scratch.metrics = std::mem::take(&mut self.metrics);
+        scratch.bools.put(self.in_queue);
+        scratch.bools.put(self.dirty_flag);
+        scratch.diffs.put(self.diff);
+        scratch.masks.put(self.occ);
+        scratch.heap = self.heap;
+        scratch.dirty = self.dirty;
+        scratch.screens = self.screen_buf;
+        scratch.metrics = self.metrics;
         SelectResult {
             assignment: self.assignment,
             spilled,
         }
     }
 
-    /// Registers not used by already-allocated interference neighbors,
-    /// written into `out` (occupancy via the reused differential buffer).
-    fn collect_available(&mut self, n: NodeId, out: &mut Vec<PhysReg>) {
-        let mut used = std::mem::take(&mut self.used_scratch);
-        used.clear();
-        used.resize(self.target.num_regs(self.nodes.class()), false);
-        for &x in self.ifg.neighbors_slice(n) {
-            if let Some(r) = self.assignment[x.index()] {
-                used[r.index()] = true;
+    /// Puts a released node on the frontier with its current differential.
+    fn enqueue(&mut self, n: NodeId) {
+        let d = self.differential(n);
+        self.diff[n.index()] = d;
+        self.in_queue[n.index()] = true;
+        self.live += 1;
+        self.heap.push((d, Reverse(n.index() as u32)));
+    }
+
+    /// Queues frontier node `x` for recomputation (once per assignment).
+    fn mark_dirty(&mut self, x: NodeId) {
+        if self.in_queue[x.index()] && !self.dirty_flag[x.index()] {
+            self.dirty_flag[x.index()] = true;
+            self.dirty.push(x);
+        }
+    }
+
+    /// Recomputes the differentials the last assignment may have changed,
+    /// pushing a fresh heap entry for each one that moved.
+    fn refresh_dirty(&mut self) {
+        for i in 0..self.dirty.len() {
+            let x = self.dirty[i];
+            self.dirty_flag[x.index()] = false;
+            let d = self.differential(x);
+            if d != self.diff[x.index()] {
+                self.diff[x.index()] = d;
+                self.heap.push((d, Reverse(x.index() as u32)));
             }
         }
-        out.extend(
-            self.target
-                .regs(self.nodes.class())
-                .filter(|r| !used[r.index()]),
-        );
-        self.used_scratch = used;
+        self.dirty.clear();
+    }
+
+    /// Records `n`'s assignment to `reg`: sets `reg` in every interference
+    /// neighbour's occupancy mask, marking the frontier neighbours whose
+    /// mask actually changed, and marks the frontier holders of
+    /// preferences targeting `n` (those preferences just became
+    /// honorable). Spills change no assignment, so they invalidate nothing.
+    fn assign(&mut self, n: NodeId, reg: PhysReg) {
+        self.assignment[n.index()] = Some(reg);
+        let bit = 1u64 << reg.index();
+        let ifg = self.ifg;
+        for &x in ifg.neighbors_slice(n) {
+            let m = &mut self.occ[x.index()];
+            if *m & bit == 0 {
+                *m |= bit;
+                self.mark_dirty(x);
+            }
+        }
+        for i in 0..self.rev_pref[n.index()].len() {
+            let holder = self.rev_pref[n.index()][i];
+            self.mark_dirty(holder);
+        }
+    }
+
+    /// The registers that honor `pref` under the current assignments
+    /// (before intersecting with the available set); empty for a deferred
+    /// preference (unallocated partner, 2.2) and for `Prefers` on a node.
+    fn admit_mask(&self, pref: &Preference) -> u64 {
+        match pref.target {
+            PrefTarget::Volatile => self.volatile,
+            PrefTarget::NonVolatile => self.file & !self.volatile,
+            PrefTarget::Set(mask) => mask,
+            PrefTarget::Node(m) => {
+                // Resolve through coalesced representatives (pre-
+                // coalescing merges nodes before selection).
+                let Some(partner) = self.assignment[self.ifg.rep(m).index()] else {
+                    return 0;
+                };
+                let p = partner.index();
+                match pref.kind {
+                    PrefKind::Coalesce => 1 << p,
+                    PrefKind::SequentialPlus => self.pair_second[p],
+                    PrefKind::SequentialMinus => self.pair_first[p],
+                    PrefKind::Prefers => 0,
+                }
+            }
+        }
+    }
+
+    /// The best strength of `pref` over the registers of `regs`: its
+    /// volatile and non-volatile strengths, for the classes present.
+    fn best_over(&self, pref: &Preference, regs: u64) -> Option<i64> {
+        let vol = (regs & self.volatile != 0).then_some(pref.strength_vol);
+        let nonvol = (regs & !self.volatile != 0).then_some(pref.strength_nonvol);
+        vol.max(nonvol)
+    }
+
+    /// Step 3's metric: the spread between the best and worst per-register
+    /// preference satisfaction over the currently available registers. A
+    /// register no preference admits scores 0; with no register available
+    /// at all the node will spill regardless of order.
+    fn differential(&mut self, n: NodeId) -> i64 {
+        self.metrics.bump(Counter::SelectDiffRecomputes);
+        let avail = self.file & !self.occ[n.index()];
+        if avail == 0 {
+            return i64::MIN + 1;
+        }
+        let mut row = [i64::MIN; MAX_REGS];
+        let mut admitted = 0u64;
+        for pref in self.rpg.prefs(n) {
+            let admit = self.admit_mask(pref) & avail;
+            admitted |= admit;
+            for r in bits(admit & self.volatile) {
+                row[r] = row[r].max(pref.strength_vol);
+            }
+            for r in bits(admit & !self.volatile) {
+                row[r] = row[r].max(pref.strength_nonvol);
+            }
+        }
+        let (mut best, mut worst) = if avail & !admitted != 0 {
+            (0, 0)
+        } else {
+            (i64::MIN, i64::MAX)
+        };
+        for r in bits(admitted) {
+            best = best.max(row[r]);
+            worst = worst.min(row[r]);
+        }
+        best - worst
     }
 
     /// Steps 2.1–2.2: screens the preferences of `n` into `out` — first
     /// the honorable ones (a non-empty honoring set within `avail`), then
     /// the deferred ones (partner not yet allocated), each in preference
-    /// order so the later stable sort ties out exactly like the unpooled
-    /// path did.
-    fn collect_screens(&mut self, n: NodeId, avail: &[PhysReg], out: &mut Vec<ScreenEntry>) {
-        let rpg = self.rpg;
-        for &pref in rpg.prefs(n) {
-            let mut regs = self.phys.take();
-            match pref.target {
-                PrefTarget::Volatile => {
-                    regs.extend(avail.iter().copied().filter(|&r| self.target.is_volatile(r)));
-                }
-                PrefTarget::NonVolatile => {
-                    regs.extend(avail.iter().copied().filter(|&r| !self.target.is_volatile(r)));
-                }
-                PrefTarget::Set(mask) => {
-                    regs.extend(
-                        avail
-                            .iter()
-                            .copied()
-                            .filter(|&r| r.index() < 64 && (mask >> r.index()) & 1 == 1),
-                    );
-                }
-                PrefTarget::Node(m) => {
-                    // Resolve through coalesced representatives (pre-
-                    // coalescing merges nodes before selection). An
-                    // unallocated partner leaves the set empty: the
-                    // preference is deferred (2.2), handled below.
-                    let m = self.ifg.rep(m);
-                    if let Some(partner) = self.assignment[m.index()] {
-                        match pref.kind {
-                            PrefKind::Coalesce => {
-                                regs.extend(avail.iter().copied().filter(|&r| r == partner));
-                            }
-                            PrefKind::SequentialPlus => {
-                                regs.extend(
-                                    avail
-                                        .iter()
-                                        .copied()
-                                        .filter(|&r| self.target.pair_allows(r, partner)),
-                                );
-                            }
-                            PrefKind::SequentialMinus => {
-                                regs.extend(
-                                    avail
-                                        .iter()
-                                        .copied()
-                                        .filter(|&r| self.target.pair_allows(partner, r)),
-                                );
-                            }
-                            PrefKind::Prefers => {}
-                        }
-                    }
-                }
-            }
-            if regs.is_empty() {
-                self.phys.put(regs);
-            } else {
-                let strength = regs
-                    .iter()
-                    .map(|&r| pref.strength_with(r, self.target))
-                    .max()
-                    .unwrap_or(i64::MIN);
+    /// order so the later stable sort breaks strength ties by that order.
+    fn collect_screens(&self, n: NodeId, avail: u64, out: &mut Vec<ScreenEntry>) {
+        for &pref in self.rpg.prefs(n) {
+            let regs = self.admit_mask(&pref) & avail;
+            if let Some(strength) = self.best_over(&pref, regs) {
                 out.push(ScreenEntry {
                     strength,
                     pref,
@@ -398,7 +534,7 @@ impl Selector<'_> {
                 });
             }
         }
-        for &pref in rpg.prefs(n) {
+        for &pref in self.rpg.prefs(n) {
             if let PrefTarget::Node(m) = pref.target {
                 let m = self.ifg.rep(m);
                 let pending = self.assignment[m.index()].is_none()
@@ -410,97 +546,11 @@ impl Selector<'_> {
                         strength: pref.best_strength(),
                         pref,
                         deferred: true,
-                        regs: Vec::new(),
+                        regs: 0,
                     });
                 }
             }
         }
-    }
-
-    /// The cached step-3 differential of `n`, recomputed only when a prior
-    /// assignment marked it stale.
-    fn cached_differential(&mut self, n: NodeId) -> i64 {
-        if self.diff_dirty[n.index()] {
-            self.diff_cache[n.index()] = self.differential(n);
-            self.diff_dirty[n.index()] = false;
-        }
-        self.diff_cache[n.index()]
-    }
-
-    /// Marks every node whose differential reads `n`'s assignment as
-    /// stale: `n`'s interference neighbors (their available sets shrank)
-    /// and the holders of preferences targeting `n` (those preferences
-    /// just became honorable). Spills change no assignment, so they
-    /// invalidate nothing.
-    fn invalidate_after_assign(&mut self, n: NodeId) {
-        for &x in self.ifg.neighbors_slice(n) {
-            self.diff_dirty[x.index()] = true;
-        }
-        for i in 0..self.rev_pref[n.index()].len() {
-            let holder = self.rev_pref[n.index()][i];
-            self.diff_dirty[holder.index()] = true;
-        }
-    }
-
-    /// The strength of honoring `pref` with register `r` under the current
-    /// assignments, or `None` when `r` does not honor it (mirrors the
-    /// per-register filters of [`honorable_prefs`](Self::honorable_prefs)).
-    fn pref_strength_if_admits(&self, pref: &Preference, r: PhysReg) -> Option<i64> {
-        let admits = match pref.target {
-            PrefTarget::Volatile => self.target.is_volatile(r),
-            PrefTarget::NonVolatile => !self.target.is_volatile(r),
-            PrefTarget::Set(mask) => r.index() < 64 && (mask >> r.index()) & 1 == 1,
-            PrefTarget::Node(m) => {
-                let m = self.ifg.rep(m);
-                let partner = self.assignment[m.index()]?; // deferred (2.2)
-                match pref.kind {
-                    PrefKind::Coalesce => r == partner,
-                    PrefKind::SequentialPlus => self.target.pair_allows(r, partner),
-                    PrefKind::SequentialMinus => self.target.pair_allows(partner, r),
-                    PrefKind::Prefers => false,
-                }
-            }
-        };
-        admits.then(|| pref.strength_with(r, self.target))
-    }
-
-    /// Step 3's metric: the spread between the best and worst per-register
-    /// preference satisfaction over the currently available registers.
-    /// Allocation-free: occupancy lives in the selector-owned scratch
-    /// buffer and preferences are evaluated per register instead of
-    /// materializing honoring register sets.
-    fn differential(&mut self, n: NodeId) -> i64 {
-        let mut used = std::mem::take(&mut self.used_scratch);
-        used.clear();
-        used.resize(self.target.num_regs(self.nodes.class()), false);
-        for &x in self.ifg.neighbors_slice(n) {
-            if let Some(r) = self.assignment[x.index()] {
-                used[r.index()] = true;
-            }
-        }
-        let mut best = i64::MIN;
-        let mut worst = i64::MAX;
-        let mut any_available = false;
-        for r in self.target.regs(self.nodes.class()) {
-            if used[r.index()] {
-                continue;
-            }
-            any_available = true;
-            let s = self
-                .rpg
-                .prefs(n)
-                .iter()
-                .filter_map(|pref| self.pref_strength_if_admits(pref, r))
-                .max()
-                .unwrap_or(0);
-            best = best.max(s);
-            worst = worst.min(s);
-        }
-        self.used_scratch = used;
-        if !any_available {
-            return i64::MIN + 1; // will spill regardless of order
-        }
-        best - worst
     }
 
     /// The trace label for a preference kind.
@@ -581,16 +631,13 @@ impl Selector<'_> {
         }));
     }
 
-    /// Steps 4.1–4.4 for the chosen node. Every candidate-register vector
-    /// is drawn from the selector's pool and returned to it, so a warm
+    /// Steps 4.1–4.4 for the chosen node, on register masks: a warm
     /// untraced select never allocates here.
     fn allocate(&mut self, n: NodeId, frontier: u32, differential: i64, tracer: &mut dyn Tracer) {
         let trace = tracer.enabled();
-        let mut avail = self.phys.take();
-        self.collect_available(n, &mut avail);
-        let navail = avail.len() as u32;
-        if avail.is_empty() {
-            self.phys.put(avail);
+        let avail = self.file & !self.occ[n.index()];
+        let navail = avail.count_ones();
+        if avail == 0 {
             self.spill(n);
             self.metrics.bump(Counter::SelectSpilledNoRegister);
             if trace {
@@ -604,7 +651,7 @@ impl Selector<'_> {
         }
         let mut screens = std::mem::take(&mut self.screen_buf);
         debug_assert!(screens.is_empty());
-        self.collect_screens(n, &avail, &mut screens);
+        self.collect_screens(n, avail, &mut screens);
         // §5.4 active spilling: the strongest preference is for memory.
         if self.config.active_spill && !self.no_spill[n.index()] {
             let strongest = screens
@@ -612,41 +659,39 @@ impl Selector<'_> {
                 .filter(|e| !e.deferred)
                 .map(|e| e.strength)
                 .max();
-            if let Some(s) = strongest {
-                if s < 0 {
-                    self.spill(n);
-                    self.metrics.bump(Counter::SelectSpilledPreferMemory);
-                    if trace {
-                        let considered = screens
-                            .iter()
-                            .filter(|e| !e.deferred)
-                            .map(|e| Considered {
-                                kind: Self::kind_str(e.pref.kind),
-                                target: self.target_str(e.pref.target),
-                                strength: e.strength,
-                                deferred: false,
-                                narrowed: false,
-                                survivors: navail,
-                            })
-                            .collect();
-                        let verdict = Verdict::Spilled {
-                            reason: SpillReason::PreferMemory,
-                            cost: self.cost_of(n),
-                        };
-                        self.emit_decision(
-                            tracer,
-                            n,
-                            frontier,
-                            differential,
-                            navail,
-                            considered,
-                            verdict,
-                        );
-                    }
-                    self.phys.put(avail);
-                    self.recycle_screens(screens);
-                    return;
+            if strongest.is_some_and(|s| s < 0) {
+                self.spill(n);
+                self.metrics.bump(Counter::SelectSpilledPreferMemory);
+                if trace {
+                    let considered = screens
+                        .iter()
+                        .filter(|e| !e.deferred)
+                        .map(|e| Considered {
+                            kind: Self::kind_str(e.pref.kind),
+                            target: self.target_str(e.pref.target),
+                            strength: e.strength,
+                            deferred: false,
+                            narrowed: false,
+                            survivors: navail,
+                        })
+                        .collect();
+                    let verdict = Verdict::Spilled {
+                        reason: SpillReason::PreferMemory,
+                        cost: self.cost_of(n),
+                    };
+                    self.emit_decision(
+                        tracer,
+                        n,
+                        frontier,
+                        differential,
+                        navail,
+                        considered,
+                        verdict,
+                    );
                 }
+                screens.clear();
+                self.screen_buf = screens;
+                return;
             }
         }
 
@@ -658,79 +703,62 @@ impl Selector<'_> {
         // it later. Interleaving by strength matters: a strong deferred
         // pairing must be able to veto a weaker coalesce before the
         // coalesce pins the candidate set (Figure 5(a)).
-        screens.sort_by_key(|e| std::cmp::Reverse(e.strength));
+        screens.sort_by_key(|e| Reverse(e.strength));
         let mut considered: Vec<Considered> = Vec::new();
         let mut cand = avail;
-        for mut e in screens.drain(..) {
-            let mut entry = if trace {
-                Some(Considered {
+        for e in screens.drain(..) {
+            let narrowed = if !e.deferred {
+                let narrowed = cand & e.regs;
+                match self.best_over(&e.pref, narrowed) {
+                    Some(gain) if gain > 0 => narrowed,
+                    _ => 0,
+                }
+            } else if e.strength > 0 {
+                self.partner_feasible(&e.pref, cand)
+            } else {
+                0
+            };
+            if trace {
+                considered.push(Considered {
                     kind: Self::kind_str(e.pref.kind),
                     target: self.target_str(e.pref.target),
                     strength: e.strength,
                     deferred: e.deferred,
-                    narrowed: false,
-                    survivors: cand.len() as u32,
-                })
-            } else {
-                None
-            };
-            let regs = std::mem::take(&mut e.regs);
-            let mut narrowed = self.phys.take();
-            if !e.deferred {
-                narrowed.extend(cand.iter().copied().filter(|r| regs.contains(r)));
-                let gain = narrowed
-                    .iter()
-                    .map(|&r| e.pref.strength_with(r, self.target))
-                    .max()
-                    .unwrap_or(0);
-                if gain <= 0 {
-                    narrowed.clear();
-                }
-            } else if e.strength > 0 {
-                self.partner_feasible_into(&e.pref, &cand, &mut narrowed);
+                    narrowed: narrowed != 0,
+                    survivors: if narrowed != 0 { narrowed } else { cand }.count_ones(),
+                });
             }
             // A filter that would empty the set is skipped: the
             // preference is abandoned rather than hurting this node.
-            if narrowed.is_empty() {
-                self.phys.put(narrowed);
+            if narrowed == 0 {
                 self.metrics
                     .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Skipped));
+                continue;
+            }
+            cand = narrowed;
+            if e.deferred {
+                self.metrics
+                    .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Deferred));
             } else {
-                if let Some(en) = &mut entry {
-                    en.narrowed = true;
-                    en.survivors = narrowed.len() as u32;
-                }
-                self.phys.put(std::mem::replace(&mut cand, narrowed));
-                if e.deferred {
-                    self.metrics
-                        .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Deferred));
-                } else {
-                    self.metrics
-                        .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Honored));
-                    self.metrics
-                        .observe_value(ValueHist::PrefStrengthHonored, e.strength.max(0) as u64);
-                }
+                self.metrics
+                    .bump(Self::screen_counter(e.pref.kind, ScreenOutcome::Honored));
+                self.metrics
+                    .observe_value(ValueHist::PrefStrengthHonored, e.strength.max(0) as u64);
             }
-            if regs.capacity() > 0 {
-                self.phys.put(regs);
-            }
-            considered.extend(entry);
         }
         self.screen_buf = screens;
 
-        // Step 4.4: pick.
-        let reg = if self.config.nonvolatile_first {
-            cand.iter()
-                .copied()
-                .find(|&r| !self.target.is_volatile(r))
-                .unwrap_or(cand[0])
+        // Step 4.4: pick the lowest candidate (the lowest non-volatile one
+        // first under `nonvolatile_first`).
+        let nonvol = cand & !self.volatile;
+        let pick = if self.config.nonvolatile_first && nonvol != 0 {
+            nonvol
         } else {
-            cand[0]
+            cand
         };
-        self.phys.put(cand);
-        self.assignment[n.index()] = Some(reg);
+        let reg = PhysReg::new(self.nodes.class(), pick.trailing_zeros() as u8);
+        self.assign(n, reg);
         self.metrics.bump(Counter::SelectAssigned);
-        self.invalidate_after_assign(n);
         if trace {
             self.emit_decision(
                 tracer,
@@ -744,53 +772,29 @@ impl Selector<'_> {
         }
     }
 
-    /// Returns a drained-or-not screening list's vectors to the pool and
-    /// parks the list itself for the next node.
-    fn recycle_screens(&mut self, mut screens: Vec<ScreenEntry>) {
-        for e in screens.drain(..) {
-            if e.regs.capacity() > 0 {
-                self.phys.put(e.regs);
-            }
-        }
-        self.screen_buf = screens;
-    }
-
-    /// Appends to `out` the registers of `cand` that do not prevent the
-    /// deferred preference `pref` from being honored later:
+    /// The registers of `cand` that do not prevent the deferred preference
+    /// `pref` from being honored later:
     ///
     /// * a *coalesce* partner must later be able to take the same register
     ///   we pick, so registers already blocked by the partner's allocated
-    ///   neighbors are removed;
-    /// * a *sequential* partner must later find a register that pairs with
-    ///   ours under the target rule.
-    fn partner_feasible_into(&mut self, pref: &Preference, cand: &[PhysReg], out: &mut Vec<PhysReg>) {
+    ///   neighbours are removed;
+    /// * a *sequential* partner must later find a free register other than
+    ///   ours that pairs with ours under the target rule.
+    fn partner_feasible(&self, pref: &Preference, cand: u64) -> u64 {
         let PrefTarget::Node(m) = pref.target else {
-            out.extend_from_slice(cand);
-            return;
+            return cand;
         };
-        let m = self.ifg.rep(m);
-        let mut partner_blocked = self.phys.take();
-        partner_blocked.extend(
-            self.ifg
-                .neighbors_slice(m)
-                .iter()
-                .filter_map(|&x| self.assignment[x.index()]),
-        );
-        out.extend(cand.iter().copied().filter(|&r| match pref.kind {
-            PrefKind::Coalesce => !partner_blocked.contains(&r),
-            PrefKind::SequentialPlus | PrefKind::SequentialMinus => {
-                self.target.regs(self.nodes.class()).any(|s| {
-                    s != r
-                        && !partner_blocked.contains(&s)
-                        && match pref.kind {
-                            PrefKind::SequentialPlus => self.target.pair_allows(r, s),
-                            _ => self.target.pair_allows(s, r),
-                        }
-                })
-            }
-            PrefKind::Prefers => true,
-        }));
-        self.phys.put(partner_blocked);
+        let blocked = self.occ[self.ifg.rep(m).index()];
+        let free = self.file & !blocked;
+        let pairs = match pref.kind {
+            PrefKind::Coalesce => return cand & free,
+            PrefKind::Prefers => return cand,
+            PrefKind::SequentialPlus => &self.pair_first,
+            PrefKind::SequentialMinus => &self.pair_second,
+        };
+        bits(cand)
+            .filter(|&r| pairs[r] & free & !(1 << r) != 0)
+            .fold(0, |m, r| m | 1 << r)
     }
 
     fn spill(&mut self, n: NodeId) {
@@ -1012,61 +1016,6 @@ mod tests {
         // to the first volatile register.
         assert_eq!(r.assignment[3], Some(pdgc_target::PhysReg::int(2)));
         assert_eq!(r.assignment[4], Some(pdgc_target::PhysReg::int(0)));
-    }
-
-    #[test]
-    fn differential_early_return_keeps_occupancy_buffer() {
-        // K4 on three registers forces the no-register-available early
-        // return inside the differential scan. The take/restore pair in
-        // `differential` must put the occupancy buffer back before that
-        // return — if a refactor drops it, the scratch comes back with
-        // zero capacity and steady-state reuse silently degrades to
-        // per-call allocation.
-        let (mut g, nm) = setup(3, &[(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]);
-        let rpg = Rpg::new(nm.num_nodes());
-        let target = TargetDesc::figure7();
-        let costs = vec![10u64; nm.num_nodes()];
-        let sr = simplify(&mut g, 3, &costs, SimplifyMode::Optimistic);
-        g.restore_all();
-        let cpg = Cpg::build(&g, &sr.stack, &sr.optimistic, 3);
-        let no_spill = vec![false; nm.num_nodes()];
-        let mut scratch = SelectScratch::new();
-        let r1 = select_traced_in(
-            &g,
-            &nm,
-            &rpg,
-            &cpg,
-            &target,
-            &no_spill,
-            &[],
-            SelectConfig::default(),
-            1,
-            &mut NoopTracer,
-            &mut scratch,
-        );
-        assert!(!r1.spilled.is_empty(), "K4 on 3 regs must spill");
-        assert!(
-            scratch.used_capacity() > 0,
-            "differential dropped its occupancy buffer on the early return"
-        );
-        // Reuse: a second run from the same scratch is bit-identical.
-        let r2 = select_traced_in(
-            &g,
-            &nm,
-            &rpg,
-            &cpg,
-            &target,
-            &no_spill,
-            &[],
-            SelectConfig::default(),
-            1,
-            &mut NoopTracer,
-            &mut scratch,
-        );
-        assert_eq!(r1.assignment, r2.assignment);
-        assert_eq!(r1.spilled, r2.spilled);
-        r1.recycle(&mut scratch);
-        r2.recycle(&mut scratch);
     }
 
     #[test]

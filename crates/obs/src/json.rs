@@ -379,16 +379,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the bytes are valid UTF-8 by construction).
+                    // Copy the whole run up to the next quote or backslash
+                    // at once. Both are ASCII, so the run ends on a
+                    // character boundary of the `&str` input and is valid
+                    // UTF-8 by construction.
                     let rest = &self.bytes[self.pos..];
-                    let len = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .map(|c| c.len_utf8())
-                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let s = std::str::from_utf8(&rest[..len]).unwrap();
-                    out.push_str(s);
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
+                    out.push_str(run);
                     self.pos += len;
                 }
             }
@@ -558,6 +560,16 @@ mod tests {
     fn parse_string_escapes() {
         let v = Json::parse(r#""a\"b\\c\nd\u0041\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA\u{1f600}"));
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_runs_decode_whole() {
+        let text = "é→x".repeat(2000) + "\n\"q\"\t" + &"ß".repeat(3000);
+        let v = Json::parse(&format!("[\"{}\",\"\"]", escape(&text))).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(text.as_str()));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert!(Json::parse("\"unterminated é").is_err());
     }
 
     #[test]

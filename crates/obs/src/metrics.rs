@@ -80,6 +80,9 @@ pub enum Counter {
     SelectSpilledNoRegister,
     /// Select verdicts: §5.4 active spill (strongest preference negative).
     SelectSpilledPreferMemory,
+    /// Step-3 strength differentials select computed: one per node on
+    /// release plus one per frontier node an assignment touched.
+    SelectDiffRecomputes,
     /// Coalesce preferences whose screen narrowed the candidate set.
     PrefCoalesceHonored,
     /// Coalesce preferences screened for an unallocated partner (2.2).
@@ -140,7 +143,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in array order.
-    pub const ALL: [Counter; 45] = [
+    pub const ALL: [Counter; 46] = [
         Counter::FuncsAllocated,
         Counter::RoundsTotal,
         Counter::CopiesBefore,
@@ -158,6 +161,7 @@ impl Counter {
         Counter::SelectAssigned,
         Counter::SelectSpilledNoRegister,
         Counter::SelectSpilledPreferMemory,
+        Counter::SelectDiffRecomputes,
         Counter::PrefCoalesceHonored,
         Counter::PrefCoalesceDeferred,
         Counter::PrefCoalesceSkipped,
@@ -211,6 +215,7 @@ impl Counter {
             Counter::SelectAssigned => "select_assigned",
             Counter::SelectSpilledNoRegister => "select_spilled_no_register",
             Counter::SelectSpilledPreferMemory => "select_spilled_prefer_memory",
+            Counter::SelectDiffRecomputes => "select_diff_recomputes",
             Counter::PrefCoalesceHonored => "pref_coalesce_honored",
             Counter::PrefCoalesceDeferred => "pref_coalesce_deferred",
             Counter::PrefCoalesceSkipped => "pref_coalesce_skipped",
@@ -260,14 +265,17 @@ pub enum ValueHist {
     /// `Str(V, P)` strength of every honored preference screen — the
     /// Figure 5(a) screening outcome distribution.
     PrefStrengthHonored,
+    /// Largest ready frontier select saw, once per class-round.
+    SelectFrontierMax,
 }
 
 impl ValueHist {
     /// Every scorecard histogram, in array order.
-    pub const ALL: [ValueHist; 3] = [
+    pub const ALL: [ValueHist; 4] = [
         ValueHist::RoundsPerFunc,
         ValueHist::SpillsPerFunc,
         ValueHist::PrefStrengthHonored,
+        ValueHist::SelectFrontierMax,
     ];
 
     /// Number of scorecard histograms.
@@ -279,6 +287,7 @@ impl ValueHist {
             ValueHist::RoundsPerFunc => "rounds_per_func",
             ValueHist::SpillsPerFunc => "spills_per_func",
             ValueHist::PrefStrengthHonored => "pref_strength_honored",
+            ValueHist::SelectFrontierMax => "select_frontier_max",
         }
     }
 

@@ -16,9 +16,16 @@ use std::cell::Cell;
 
 use pdgc_analysis::{Cfg, Liveness};
 use pdgc_core::build::build_ifg_in;
-use pdgc_core::node::NodeMap;
+use pdgc_core::cpg::Cpg;
+use pdgc_core::ifg::InterferenceGraph;
+use pdgc_core::lower::lower_abi;
+use pdgc_core::node::{NodeId, NodeMap};
+use pdgc_core::pipeline::{analyze, class_ctx_for_round_in};
+use pdgc_core::rpg::{build_rpg, PreferenceSet, Rpg};
+use pdgc_core::select::{select_traced_in, SelectConfig, SelectScratch};
+use pdgc_core::simplify::{simplify, SimplifyMode};
 use pdgc_core::{CheckMode, CheckScope, PhaseScratch, PreferenceAllocator, RegisterAllocator};
-use pdgc_ir::{Function, RegClass};
+use pdgc_ir::{BinOp, Function, FunctionBuilder, RegClass};
 use pdgc_obs::NoopTracer;
 use pdgc_target::{PhysReg, PressureModel, TargetDesc};
 
@@ -210,4 +217,121 @@ fn recycling_results_cuts_warm_run_allocations_further() {
         "recycled warm run made {with_recycle} allocations vs {unrecycled} without recycling — \
          result recycling regressed"
     );
+}
+
+/// Runs select twice from one scratch (recycling the first result in
+/// between) and asserts the second run touches the heap zero times and
+/// reproduces the first run's assignment and spills. Returns the spills.
+#[allow(clippy::too_many_arguments)]
+fn assert_warm_select_allocation_free(
+    ifg: &InterferenceGraph,
+    nodes: &NodeMap,
+    rpg: &Rpg,
+    cpg: &Cpg,
+    target: &TargetDesc,
+    no_spill: &[bool],
+    spill_costs: &[u64],
+) -> Vec<NodeId> {
+    let mut scratch = SelectScratch::new();
+    let run = |scratch: &mut SelectScratch| {
+        select_traced_in(
+            ifg,
+            nodes,
+            rpg,
+            cpg,
+            target,
+            no_spill,
+            spill_costs,
+            SelectConfig::default(),
+            1,
+            &mut NoopTracer,
+            scratch,
+        )
+    };
+    let first = run(&mut scratch);
+    let (assignment, spilled) = (first.assignment.clone(), first.spilled.clone());
+    first.recycle(&mut scratch);
+    let (allocs, second) = count_allocs(|| run(&mut scratch));
+    assert_eq!(allocs, 0, "a warm select must not touch the heap");
+    assert_eq!(second.assignment, assignment);
+    assert_eq!(second.spilled, spilled);
+    second.recycle(&mut scratch);
+    spilled
+}
+
+#[test]
+fn warm_select_without_a_free_register_makes_zero_heap_allocations() {
+    // K4 on three registers: one node finds every register taken and
+    // spills on the no-register path.
+    let mut b = FunctionBuilder::new("k4", vec![], None);
+    let base = b.iconst(0);
+    let vs: Vec<_> = (0..3).map(|i| b.load(base, 128 + 16 * i)).collect();
+    for &v in &vs {
+        b.store(v, base, 0);
+    }
+    b.ret(None);
+    let func = b.finish();
+    let target = TargetDesc::figure7();
+    let nodes = NodeMap::build(&func, &target, RegClass::Int, &vec![None; func.num_vregs()]);
+    let mut ifg = InterferenceGraph::new(nodes.num_nodes(), nodes.num_phys());
+    for (a, c) in [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)] {
+        ifg.add_edge(NodeId::new(a), NodeId::new(c));
+    }
+    let costs = vec![10u64; nodes.num_nodes()];
+    let sr = simplify(&mut ifg, 3, &costs, SimplifyMode::Optimistic);
+    ifg.restore_all();
+    let cpg = Cpg::build(&ifg, &sr.stack, &sr.optimistic, 3);
+    let rpg = Rpg::new(nodes.num_nodes());
+    let no_spill = vec![false; nodes.num_nodes()];
+    let spilled =
+        assert_warm_select_allocation_free(&ifg, &nodes, &rpg, &cpg, &target, &no_spill, &[]);
+    assert_eq!(spilled.len(), 1, "K4 on 3 registers spills exactly one node");
+}
+
+#[test]
+fn warm_select_on_a_spilling_tight8_class_makes_zero_heap_allocations() {
+    // Twenty loads live at once against tight8's small integer file, with
+    // a call in the middle so volatility preferences apply too.
+    let mut b = FunctionBuilder::new("wide", vec![RegClass::Int], Some(RegClass::Int));
+    let base = b.param(0);
+    let vs: Vec<_> = (0..20).map(|i| b.load(base, 8 * i)).collect();
+    b.call("g", vec![vs[0], vs[1]], None);
+    let sum = vs[1..].iter().fold(vs[0], |acc, &v| b.bin(BinOp::Add, acc, v));
+    b.ret(Some(sum));
+    let func = b.finish();
+    let target = TargetDesc::tight8();
+    let lowered = lower_abi(&func, &target).expect("lowers");
+    let analyses = analyze(&lowered.func);
+    let no_spill_vregs = vec![false; lowered.func.num_vregs()];
+    let mut phase = PhaseScratch::new();
+    let mut ctx = class_ctx_for_round_in(
+        &lowered,
+        &target,
+        RegClass::Int,
+        &analyses,
+        &no_spill_vregs,
+        1,
+        &mut phase,
+    );
+    let rpg = build_rpg(
+        ctx.func,
+        &ctx.nodes,
+        &ctx.cost_model(&analyses),
+        &ctx.copies,
+        PreferenceSet::full(),
+        &target,
+    );
+    let sr = simplify(&mut ctx.ifg, ctx.k, &ctx.spill_costs, SimplifyMode::Optimistic);
+    ctx.ifg.restore_all();
+    let cpg = Cpg::build(&ctx.ifg, &sr.stack, &sr.optimistic, ctx.k);
+    let spilled = assert_warm_select_allocation_free(
+        &ctx.ifg,
+        &ctx.nodes,
+        &rpg,
+        &cpg,
+        &target,
+        &ctx.no_spill,
+        &ctx.spill_costs,
+    );
+    assert!(!spilled.is_empty(), "twenty live values must spill on tight8");
 }
